@@ -3,9 +3,10 @@
 
 Runs the same two workloads the CI fleet lane exercises — a small
 figure sweep (fig03 + fig04) and a seed-pinned chaos sweep — once
-serially and once on the multiprocess fleet, verifies the results are
-identical (the fleet's whole contract), and records wall times in
-``BENCH_fleet.json``.
+in-process and once on the multiprocess fleet, both through
+``repro.fleet.run_tasks`` (the entry point ``repro run`` / ``repro
+chaos`` use), verifies the results are identical (the fleet's whole
+contract), and records wall times in ``BENCH_fleet.json``.
 
 The recorded ``cores`` field matters for reading the numbers: on a
 single-core box the fleet *cannot* be faster than serial — it pays
@@ -29,11 +30,10 @@ import sys
 import tempfile
 import time
 
-from repro.chaos.engine import ChaosOptions, run_chaos
+from repro.chaos.engine import ChaosOptions
 from repro.experiments.common import FunctionalSettings
-from repro.fleet import FleetOptions, chaos_tasks, figure_tasks, run_fleet
-from repro.runner import CheckpointStore, SupervisedRunner
-from repro.runner.figures import build_figure_job
+from repro.fleet import FleetOptions, chaos_tasks, figure_tasks, run_tasks
+from repro.runner import CheckpointStore
 
 FIGURES = ("fig03", "fig04")
 
@@ -59,18 +59,17 @@ def _fresh_store(scratch: str, label: str) -> CheckpointStore:
 
 def bench_figures(workers: int, scratch: str) -> dict:
     settings = _settings()
-    jobs = {fig: build_figure_job(fig, settings) for fig in FIGURES}
-
-    start = time.perf_counter()
-    serial = {}
-    for fig in FIGURES:
-        report = SupervisedRunner().run_units(jobs[fig].units)
-        serial.update(report.results)
-    serial_seconds = time.perf_counter() - start
-
     tasks = [t for fig in FIGURES for t in figure_tasks(fig, settings)]
+
     start = time.perf_counter()
-    fleet = run_fleet(
+    report = run_tasks(tasks)
+    serial_seconds = time.perf_counter() - start
+    if report.status != "ok":
+        raise SystemExit(f"serial figure sweep ended {report.status}")
+    serial = report.results
+
+    start = time.perf_counter()
+    fleet = run_tasks(
         tasks,
         _fresh_store(scratch, "figures"),
         FleetOptions(workers=workers),
@@ -93,15 +92,15 @@ def bench_figures(workers: int, scratch: str) -> dict:
 
 
 def bench_chaos(workers: int, scratch: str) -> dict:
-    start = time.perf_counter()
-    serial = run_chaos(_chaos_options())
-    serial_seconds = time.perf_counter() - start
-    if serial.job.status != "ok":
-        raise SystemExit(f"serial chaos sweep ended {serial.job.status}")
-
     tasks = chaos_tasks(_chaos_options())
     start = time.perf_counter()
-    fleet = run_fleet(
+    serial = run_tasks(tasks)
+    serial_seconds = time.perf_counter() - start
+    if serial.status != "ok":
+        raise SystemExit(f"serial chaos sweep ended {serial.status}")
+
+    start = time.perf_counter()
+    fleet = run_tasks(
         tasks,
         _fresh_store(scratch, "chaos"),
         FleetOptions(workers=workers),
@@ -111,8 +110,7 @@ def bench_chaos(workers: int, scratch: str) -> dict:
     if fleet.status != "ok":
         raise SystemExit(f"chaos fleet ended {fleet.status}, not ok")
     serial_digests = {
-        name: serial.job.results[name]["digest"]
-        for name in serial.job.results
+        name: serial.results[name]["digest"] for name in serial.results
     }
     fleet_digests = {
         name: fleet.results[name]["digest"] for name in fleet.results

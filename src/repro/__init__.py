@@ -24,7 +24,9 @@ its evaluation depends on:
 * a runtime invariant sanitizer installable on both simulators
   (:mod:`repro.sanitize`),
 * a crash-safe supervised experiment runner with checkpoint/resume,
-  watchdog deadlines and bounded retries (:mod:`repro.runner`),
+  watchdog deadlines and bounded retries (:mod:`repro.runner`), and one
+  entry point running a task list in-process or on a crash-isolated
+  worker fleet (:func:`repro.fleet.run_tasks`),
 * a deterministic chaos-campaign engine — seed-sampled fault + adaptive
   adversary compositions judged against resilience SLOs, with
   delta-debugged, replayable reproducer artifacts (:mod:`repro.chaos`),
@@ -113,10 +115,10 @@ from .chaos import (
     SloSpec,
     replay_artifact,
     run_campaign,
-    run_chaos,
     sample_campaign,
     shrink_campaign,
 )
+from .fleet import chaos_tasks, run_tasks
 from .telemetry import (
     DROP_CAUSES,
     NULL_TELEMETRY,
@@ -192,7 +194,8 @@ __all__ = [
     "SloSpec",
     "replay_artifact",
     "run_campaign",
-    "run_chaos",
+    "chaos_tasks",
+    "run_tasks",
     "sample_campaign",
     "shrink_campaign",
     "DROP_CAUSES",

@@ -20,8 +20,10 @@ Layers (bottom-up):
   failing spec.
 * :mod:`~repro.chaos.artifact` — byte-stable replay JSON artifacts and
   ``--replay`` verification.
-* :mod:`~repro.chaos.engine` — the sweep: each campaign a crash-isolated
-  :class:`~repro.runner.supervisor.SupervisedRunner` unit.
+* :mod:`~repro.chaos.engine` — the sweep: options, job fingerprint and
+  the per-campaign unit body; :func:`repro.fleet.chaos_tasks` makes the
+  task list that :func:`repro.fleet.run_tasks` runs in-process or on the
+  fleet.
 
 Everything is deterministic in ``(seed, options)``: sampled specs, run
 measurements, shrink trajectories, and artifact bytes.
@@ -42,11 +44,10 @@ from .campaign import (
     run_digest,
 )
 from .engine import (
-    CampaignJob,
     ChaosOptions,
     ChaosReport,
-    build_chaos_units,
-    run_chaos,
+    run_sweep_campaign,
+    sweep_fingerprint,
 )
 from .shrink import ShrinkResult, shrink_campaign
 from .slo import (
@@ -77,7 +78,6 @@ __all__ = [
     "SIMULATORS",
     "SLO_NAMES",
     "AttackerSpec",
-    "CampaignJob",
     "CampaignResult",
     "CampaignSpec",
     "ChaosOptions",
@@ -90,7 +90,6 @@ __all__ = [
     "SloSpec",
     "SloVerdict",
     "WindowShare",
-    "build_chaos_units",
     "default_slo",
     "dump_artifact",
     "evaluate_slos",
@@ -98,10 +97,11 @@ __all__ = [
     "load_artifact",
     "replay_artifact",
     "run_campaign",
-    "run_chaos",
     "run_digest",
+    "run_sweep_campaign",
     "sample_campaign",
     "shrink_campaign",
+    "sweep_fingerprint",
     "with_slo",
     "write_artifact",
 ]

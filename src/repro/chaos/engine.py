@@ -1,12 +1,13 @@
 """The chaos sweep: sample N campaigns, run each as a supervised unit.
 
-Each campaign executes as one crash-isolated unit of a
-:class:`~repro.runner.supervisor.SupervisedRunner` job: a crash inside
-campaign 7 is retried per the runner's policy and, failing that, recorded
-as a failed unit without taking down campaigns 8..N; with a checkpoint
-store a killed sweep resumes past every completed campaign.  Unit results
-are plain dicts of primitives, so they ride through the runner's pickle
-checkpoints unchanged.
+:func:`repro.fleet.chaos_tasks` samples the sweep into one task per
+campaign, run like every other task list by :func:`repro.fleet.run_tasks`
+(in-process or on the fleet); each task's body is
+:func:`run_sweep_campaign`.  A crash inside campaign 7 is retried per the
+retry policy and, failing that, recorded as a failed unit without taking
+down campaigns 8..N; with a checkpoint store a killed sweep resumes past
+every completed campaign.  Unit results are plain dicts of primitives,
+so they ride through the pickle checkpoints unchanged.
 
 On an SLO violation the unit delta-debugs the campaign down to a minimal
 reproducer (:mod:`repro.chaos.shrink`) and writes a replay artifact
@@ -15,24 +16,17 @@ reproducer (:mod:`repro.chaos.shrink`) and writes a replay artifact
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from ..errors import ConfigError
-from ..runner import CheckpointStore, RetryPolicy, SupervisedRunner
 from ..runner.supervisor import JobReport, UnitContext
 from ..trace import current_tracer
 from .artifact import write_artifact
 from .campaign import run_campaign
 from .shrink import shrink_campaign
-from .spec import (
-    SIMULATORS,
-    CampaignSpec,
-    SloSpec,
-    exhaustion_campaign,
-    sample_campaign,
-)
+from .spec import SIMULATORS, CampaignSpec, SloSpec
 
 
 @dataclass
@@ -77,83 +71,74 @@ class ChaosOptions:
             )
 
 
-class CampaignJob:
-    """One campaign as a supervised unit (a plain picklable callable).
+def run_sweep_campaign(
+    spec: CampaignSpec,
+    ctx: UnitContext,
+    shrink: bool = True,
+    max_shrink_trials: int = 64,
+    artifact_dir: Optional[str] = None,
+) -> Dict[str, Any]:
+    """One campaign of a sweep, as the body of a supervised unit.
 
     Returns a dict of primitives: the spec, the run digest, per-SLO
     verdict rows, and — when the campaign violated an SLO and shrinking
     is on — the shrink summary and the written artifact path.
     """
-
-    def __init__(
-        self,
-        spec: CampaignSpec,
-        shrink: bool = True,
-        max_shrink_trials: int = 64,
-        artifact_dir: Optional[str] = None,
-    ) -> None:
-        self.spec = spec
-        self.shrink = shrink
-        self.max_shrink_trials = max_shrink_trials
-        self.artifact_dir = artifact_dir
-
-    def __call__(self, ctx: UnitContext) -> Dict[str, Any]:
-        tracer = current_tracer()
-        with tracer.span(
-            "campaign.run", cat="campaign",
-            parent=ctx.trace_parent, simulator=self.spec.simulator,
-        ) as span:
-            result = run_campaign(self.spec)
-            span.end(ok=result.ok)
-        out: Dict[str, Any] = {
-            "spec": self.spec.to_dict(),
-            "simulator": self.spec.simulator,
-            "ok": result.ok,
-            "digest": result.digest,
-            "verdicts": result.report.rows(),
-            "provenance": dict(result.measurements.drop_provenance),
-            "artifact": None,
-            "shrink": None,
-        }
-        violated = result.report.violated()
-        if violated is None or not self.shrink:
-            return out
-        with tracer.span(
-            "campaign.shrink", cat="campaign",
-            parent=ctx.trace_parent, slo=violated.slo,
-        ) as span:
-            shrunk = shrink_campaign(
-                self.spec,
-                violated.slo,
-                max_trials=self.max_shrink_trials,
-            )
-            span.end(trials=shrunk.trials)
-        out["shrink"] = {
-            "slo": shrunk.slo,
-            "trials": shrunk.trials,
-            "steps": list(shrunk.steps),
-            "minimal_spec": shrunk.minimal.to_dict(),
-            "minimal_digest": shrunk.final.digest,
-        }
-        if self.artifact_dir is not None:
-            path = write_artifact(
-                shrunk,
-                Path(self.artifact_dir) / f"reproducer-{ctx.name}.json",
-            )
-            out["artifact"] = str(path)
-            tracer.event(
-                "artifact.write", cat="campaign",
-                parent=ctx.trace_parent, path=str(path),
-            )
+    tracer = current_tracer()
+    with tracer.span(
+        "campaign.run", cat="campaign",
+        parent=ctx.trace_parent, simulator=spec.simulator,
+    ) as span:
+        result = run_campaign(spec)
+        span.end(ok=result.ok)
+    out: Dict[str, Any] = {
+        "spec": spec.to_dict(),
+        "simulator": spec.simulator,
+        "ok": result.ok,
+        "digest": result.digest,
+        "verdicts": result.report.rows(),
+        "provenance": dict(result.measurements.drop_provenance),
+        "artifact": None,
+        "shrink": None,
+    }
+    violated = result.report.violated()
+    if violated is None or not shrink:
         return out
+    with tracer.span(
+        "campaign.shrink", cat="campaign",
+        parent=ctx.trace_parent, slo=violated.slo,
+    ) as span:
+        shrunk = shrink_campaign(
+            spec,
+            violated.slo,
+            max_trials=max_shrink_trials,
+        )
+        span.end(trials=shrunk.trials)
+    out["shrink"] = {
+        "slo": shrunk.slo,
+        "trials": shrunk.trials,
+        "steps": list(shrunk.steps),
+        "minimal_spec": shrunk.minimal.to_dict(),
+        "minimal_digest": shrunk.final.digest,
+    }
+    if artifact_dir is not None:
+        path = write_artifact(
+            shrunk,
+            Path(artifact_dir) / f"reproducer-{ctx.name}.json",
+        )
+        out["artifact"] = str(path)
+        tracer.event(
+            "artifact.write", cat="campaign",
+            parent=ctx.trace_parent, path=str(path),
+        )
+    return out
 
 
 @dataclass
 class ChaosReport:
-    """Outcome of one sweep: the runner's job report plus SLO tallies."""
+    """Outcome of one sweep: the job report plus SLO tallies."""
 
     job: JobReport
-    specs: List[CampaignSpec] = field(default_factory=list)
 
     @property
     def campaigns(self) -> List[Dict[str, Any]]:
@@ -181,68 +166,9 @@ class ChaosReport:
         return self.job.status
 
 
-def build_chaos_units(
-    options: ChaosOptions,
-) -> List[Tuple[str, CampaignJob]]:
-    """The sweep's supervised unit list (deterministic in options)."""
-    units: List[Tuple[str, CampaignJob]] = []
-    for index in range(options.campaigns):
-        spec = sample_campaign(
-            options.seed,
-            index,
-            simulator=options.simulator,
-            slo=options.slo,
-            include_silent=options.include_silent,
-        )
-        units.append(
-            (
-                f"campaign-{index:03d}",
-                CampaignJob(
-                    spec,
-                    shrink=options.shrink,
-                    max_shrink_trials=options.max_shrink_trials,
-                    artifact_dir=options.artifact_dir,
-                ),
-            )
-        )
-    for index in range(options.exhaustion):
-        spec = exhaustion_campaign(
-            options.seed,
-            index,
-            slo=options.slo,
-            state_backend=options.state_backend,
-            max_tracked_paths=options.max_tracked_paths,
-        )
-        units.append(
-            (
-                f"exhaustion-{index:03d}",
-                CampaignJob(
-                    spec,
-                    shrink=options.shrink,
-                    max_shrink_trials=options.max_shrink_trials,
-                    artifact_dir=options.artifact_dir,
-                ),
-            )
-        )
-    return units
-
-
-def run_chaos(
-    options: ChaosOptions,
-    store: Optional[CheckpointStore] = None,
-    deadline_seconds: Optional[float] = None,
-    log: Optional[Callable[[str], None]] = None,
-) -> ChaosReport:
-    """Run one chaos sweep under runner supervision."""
-    options.validate()
-    units = build_chaos_units(options)
-    runner = SupervisedRunner(
-        store=store,
-        deadline_seconds=deadline_seconds,
-        retry=RetryPolicy(seed=options.seed),
-        log=log,
-    )
-    fingerprint = {
+def sweep_fingerprint(options: ChaosOptions) -> Dict[str, Any]:
+    """The checkpoint-store job fingerprint of one sweep."""
+    fingerprint: Dict[str, Any] = {
         "kind": "chaos-sweep",
         "seed": options.seed,
         "campaigns": options.campaigns,
@@ -255,5 +181,4 @@ def run_chaos(
         fingerprint["exhaustion"] = options.exhaustion
         fingerprint["state_backend"] = options.state_backend
         fingerprint["max_tracked_paths"] = options.max_tracked_paths
-    job = runner.run_units(units, job_fingerprint=fingerprint)
-    return ChaosReport(job=job, specs=[unit[1].spec for unit in units])
+    return fingerprint

@@ -33,10 +33,18 @@ CHECKPOINT_SINKS = frozenset(
 )
 
 #: Modules where instance attributes are reachable from pickled state.
-#: repro.chaos instances (CampaignJob, injectors inside specs) ride
-#: through SupervisedRunner checkpoints; repro.traffic sources are
+#: repro.fleet.jobs task recipes (ChaosCampaignTask and its figure and
+#: shard siblings) are what SupervisedRunner runs and the fleet pickles
+#: across the spawn boundary; repro.chaos instances (injectors inside
+#: specs) ride through campaign checkpoints; repro.traffic sources are
 #: engine state pickled by EngineRun snapshots.
-ATTRIBUTE_SCOPE = ("repro.runner", "repro.cli", "repro.chaos", "repro.traffic")
+ATTRIBUTE_SCOPE = (
+    "repro.runner",
+    "repro.cli",
+    "repro.chaos",
+    "repro.fleet.jobs",
+    "repro.traffic",
+)
 
 
 def _callee_terminal(call: ast.Call) -> Optional[str]:

@@ -7,12 +7,13 @@ Commands
 ``run FIG [FIG ...] [options]``
     Run one or more figures' experiments under the supervised runner and
     print their rows (e.g. ``run fig08``, ``run fig06 fig07 fig08``).
-    With ``--workers N`` the unit jobs execute on the crash-isolated
-    multiprocess fabric (:mod:`repro.fleet`) instead of in-process;
-    results and telemetry are byte-identical either way.  For the
-    internet-scale figures, ``--shards N`` splits each unit's flow
-    population over N lock-step workers (barrier-synchronized, with
-    per-epoch checkpoint salvage) — still byte-identical to serial.
+    The figures' units form one task list; with ``--workers N`` it runs
+    on the crash-isolated multiprocess fabric (:mod:`repro.fleet`)
+    instead of in-process, and results and telemetry are byte-identical
+    either way.  For the internet-scale figures, ``--shards N`` splits
+    each unit's flow population over N lock-step workers
+    (barrier-synchronized, with per-epoch checkpoint salvage) — still
+    byte-identical to serial.
 ``quickstart``
     The README quickstart: FLoc on a flooded link, bandwidth breakdown.
 ``chaos [options]``
@@ -51,9 +52,10 @@ with it on or off — and wall-clock data never reaches checkpoints.
 Scale/duration flags apply to the functional figures; internet-scale
 figures take ``--variants``.  Every ``run`` is supervised (see
 :mod:`repro.runner`): ``--checkpoint-dir`` makes it crash-safe,
-``--resume`` continues a killed run bit-identically, ``--deadline``
-bounds its wall-clock time and ``--sanitize`` installs the runtime
-invariant layer on every simulator.
+``--resume`` continues a killed run bit-identically (checkpoints are
+interchangeable between in-process and ``--workers`` runs),
+``--deadline`` bounds the whole run's wall-clock time and ``--sanitize``
+installs the runtime invariant layer on every simulator.
 
 Exit codes: 0 all units completed; 1 every unit failed; 2 bad
 configuration or unusable checkpoint directory; 3 partial (some units
@@ -109,16 +111,6 @@ EXIT_CODES = {
     "quarantined": 6,
     "nodata": 7,
 }
-
-#: Statuses from best to worst; multi-job runs exit with the worst one.
-_STATUS_ORDER = (
-    "ok", "partial", "failed", "quarantined", "deadline", "interrupted",
-)
-
-
-def _worst_status(statuses) -> str:
-    return max(statuses, key=_STATUS_ORDER.index, default="ok")
-
 
 #: Cap for auto-detected worker/shard counts: these workloads stop
 #: scaling long before the core counts shared CI runners advertise.
@@ -212,18 +204,6 @@ def _tracer_from_args(args):
     return Tracer(args.trace_dir, proc="main")
 
 
-def _shadow_telemetry(tel, tracer):
-    """Serial ``--trace`` without ``--telemetry``: returns a shadow
-    recorder (plus a flag saying so) that exists only to feed the
-    tracer's per-tick phase spans and must never be exported.  Fleet
-    workers build their own shadow (see :mod:`repro.fleet.worker`)."""
-    if tracer.enabled and not tel.enabled:
-        from .telemetry import Telemetry
-
-        return Telemetry(mode="metrics", profile=True), True
-    return tel, False
-
-
 def _finish_trace(args, tracer) -> None:
     """Merge the run's span files, write trace.json, print the summary."""
     if not tracer.enabled:
@@ -275,26 +255,11 @@ def _emit(args, name: str, headers, rows, title: str) -> None:
         sys.stdout.write(f"wrote {path}\n")
 
 
-def _fig_status(freport, names: List[str]) -> str:
-    """Derive one figure's job status from its units' fleet outcomes."""
-    by_name = {o.name: o for o in freport.outcomes}
-    outs = [by_name[n] for n in names if n in by_name]
-    missing = len(names) - len(outs)
-    if any(o.status == "quarantined" for o in outs):
-        return "quarantined"
-    done = sum(1 for o in outs if o.status in ("done", "resumed"))
-    failed = sum(1 for o in outs if o.status == "failed")
-    if missing and freport.status in ("deadline", "interrupted"):
-        return freport.status
-    if not failed and not missing:
-        return "ok"
-    return "partial" if done else "failed"
-
-
-def _shard_fig_status(freport, tasks, names: List[str]) -> str:
-    """Figure status from shard-gang outcomes: a unit counts as done
-    only when *every* one of its shards finished."""
-    by_name = {o.name: o for o in freport.outcomes}
+def _fig_status(report, tasks, names: List[str]) -> str:
+    """One figure's status from its units' outcomes.  A unit may be a
+    gang of shard tasks (plain figure tasks are one-member units): it
+    counts as done only when *every* member finished."""
+    by_name = {o.name: o for o in report.outcomes}
     per_unit: List[str] = []
     for unit in names:
         members = [t.name for t in tasks if t.unit == unit]
@@ -306,8 +271,8 @@ def _shard_fig_status(freport, tasks, names: List[str]) -> str:
             o.status in ("done", "resumed") for o in outs
         ):
             per_unit.append("ok")
-        elif missing and freport.status in ("deadline", "interrupted"):
-            per_unit.append(freport.status)
+        elif missing and report.status in ("deadline", "interrupted"):
+            per_unit.append(report.status)
         else:
             per_unit.append("failed")
     if any(s == "quarantined" for s in per_unit):
@@ -315,7 +280,7 @@ def _shard_fig_status(freport, tasks, names: List[str]) -> str:
     if per_unit and all(s == "ok" for s in per_unit):
         return "ok"
     if any(s in ("deadline", "interrupted") for s in per_unit):
-        return freport.status
+        return report.status
     return "partial" if any(s == "ok" for s in per_unit) else "failed"
 
 
@@ -337,15 +302,51 @@ def _merge_shard_units(tasks, results: Dict[str, Any]) -> Dict[str, Any]:
     return merged
 
 
+def _execute(args, tasks, store, tracer, retry, sanitize=None, prefer=None):
+    """Run ``tasks`` in-process, or on the fleet with ``--workers``."""
+    from .fleet import FleetOptions, run_tasks, sample_process_faults
+    from .trace import use_tracer
+
+    plan = None
+    if getattr(args, "process_faults", 0):
+        plan = sample_process_faults(
+            args.seed, [t.name for t in tasks], args.process_faults,
+            prefer=prefer,
+        )
+    # default conviction: fast (5s) under a fault plan — the heartbeat
+    # pulse runs on its own thread, so 5s of silence from a live worker
+    # cannot happen by accident — else a generous 30s
+    hb_interval, hb_timeout = _heartbeat_from(
+        args, 5.0 if plan is not None else 30.0
+    )
+    mode = args.telemetry
+    with use_tracer(tracer):
+        return run_tasks(
+            tasks,
+            store,
+            FleetOptions(
+                workers=args.workers,
+                telemetry_mode="trace" if mode == "jsonl" else mode,
+                sanitize=sanitize,
+                retry=retry,
+                deadline_seconds=args.deadline,
+                fault_plan=plan,
+                heartbeat_interval_seconds=hb_interval,
+                heartbeat_timeout_seconds=hb_timeout,
+            ),
+            log=_runner_log,
+        )
+
+
 def _run_figures(args) -> int:
+    from .fleet import figure_tasks, shard_figure_tasks
+    from .fleet.jobs import INTERNET_PLACEMENTS
     from .runner import (
         CheckpointStore,
         RetryPolicy,
-        SupervisedRunner,
         build_figure_job,
+        worst_status,
     )
-    from .fleet.jobs import INTERNET_PLACEMENTS
-    from .telemetry import use
 
     figures = list(dict.fromkeys(args.figures))
     settings = _settings(args)
@@ -383,12 +384,6 @@ def _run_figures(args) -> int:
             # --checkpoint-dir without --resume restarts the job; stale
             # entries must not be mistaken for this run's results
             store.reset()
-    elif args.workers is not None:
-        # the fleet needs a shared store for results and mid-task salvage
-        # even when the user did not ask for checkpoints
-        import tempfile
-
-        store = CheckpointStore(tempfile.mkdtemp(prefix="repro-fleet-"))
 
     if len(figures) == 1:
         fingerprint = jobs[figures[0]].fingerprint
@@ -409,135 +404,64 @@ def _run_figures(args) -> int:
         fingerprint = dict(fingerprint)
         fingerprint["shards"] = shards
         fingerprint["epoch_ticks"] = args.epoch_ticks
+        tasks = [
+            task
+            for fig in figures
+            for task in shard_figure_tasks(
+                fig,
+                shards,
+                variants=variants,
+                epoch_ticks=args.epoch_ticks,
+                barrier_timeout_seconds=args.barrier_timeout,
+            )
+        ]
+    else:
+        tasks = [
+            task
+            for fig in figures
+            for task in figure_tasks(fig, settings, variants=variants)
+        ]
     if store is not None:
         store.check_job(fingerprint)
 
-    tel = _telemetry_from_args(args)
     tracer = _tracer_from_args(args)
-    tel, shadow_tel = _shadow_telemetry(tel, tracer)
-    statuses: Dict[str, str] = {}
-    results: Dict[str, Any] = {}
-    unit_rows: List[Tuple[str, str, int, str]] = []
-
-    if args.workers is not None:
-        from .fleet import (
-            FleetOptions,
-            figure_tasks,
-            run_fleet,
-            sample_process_faults,
-            shard_figure_tasks,
-        )
-
-        if shards is not None:
-            tasks = [
-                task
-                for fig in figures
-                for task in shard_figure_tasks(
-                    fig,
-                    shards,
-                    variants=variants,
-                    epoch_ticks=args.epoch_ticks,
-                    barrier_timeout_seconds=args.barrier_timeout,
-                )
-            ]
-        else:
-            tasks = [
-                task
-                for fig in figures
-                for task in figure_tasks(fig, settings, variants=variants)
-            ]
-        plan = None
-        if getattr(args, "process_faults", 0):
-            plan = sample_process_faults(
-                args.seed,
-                [t.name for t in tasks],
-                args.process_faults,
-                prefer="#s" if shards is not None else None,
-            )
-        hb_interval, hb_timeout = _heartbeat_from(
-            args, 5.0 if plan is not None else 30.0
-        )
-        mode = getattr(args, "telemetry", "off")
-        from .trace import use_tracer
-
-        with use_tracer(tracer):
-            freport = run_fleet(
-                tasks,
-                store,
-                FleetOptions(
-                    workers=args.workers,
-                    telemetry_mode="trace" if mode == "jsonl" else mode,
-                    sanitize=settings.sanitize,
-                    retry=RetryPolicy(
-                        max_retries=args.retries, seed=args.seed
-                    ),
-                    deadline_seconds=args.deadline,
-                    fault_plan=plan,
-                    heartbeat_interval_seconds=hb_interval,
-                    heartbeat_timeout_seconds=hb_timeout,
-                ),
-                log=_runner_log,
-            )
-        tel = freport.telemetry
-        shadow_tel = False  # the merged fleet telemetry is the real one
-        results = dict(freport.results)
-        unit_rows = freport.summary_rows()
-        if shards is not None:
-            results = _merge_shard_units(tasks, results)
-            for fig in figures:
-                statuses[fig] = _shard_fig_status(
-                    freport, tasks, [name for name, _ in jobs[fig].units]
-                )
-        else:
-            for fig in figures:
-                statuses[fig] = _fig_status(
-                    freport, [name for name, _ in jobs[fig].units]
-                )
-    else:
-        from .trace import use_tracer
-
-        with use_tracer(tracer), use(tel):
-            for fig in figures:
-                runner = SupervisedRunner(
-                    store=store,
-                    deadline_seconds=args.deadline,
-                    retry=RetryPolicy(
-                        max_retries=args.retries, seed=args.seed
-                    ),
-                    sanitize=settings.sanitize,
-                    log=_runner_log,
-                )
-                report = runner.run_units(jobs[fig].units)
-                statuses[fig] = report.status
-                results.update(report.results)
-                unit_rows.extend(report.summary_rows())
-                if report.status in ("deadline", "interrupted"):
-                    break  # the whole run is cut off, not just this job
-
-    if not shadow_tel:
-        _export_telemetry(args, tel)
+    report = _execute(
+        args,
+        tasks,
+        store,
+        tracer,
+        RetryPolicy(max_retries=args.retries, seed=args.seed),
+        sanitize=settings.sanitize,
+        prefer="#s" if shards is not None else None,
+    )
+    _export_telemetry(args, report.telemetry)
     _finish_trace(args, tracer)
+    results = dict(report.results)
+    if shards is not None:
+        results = _merge_shard_units(tasks, results)
+    statuses = {
+        fig: _fig_status(report, tasks, [name for name, _ in jobs[fig].units])
+        for fig in figures
+    }
     for fig in figures:
-        if fig not in statuses:
-            continue  # never started (an earlier job hit the deadline)
         output = jobs[fig].finalize(results)
         _emit(args, fig, output.headers, output.rows, FIGURES[fig])
         for note in output.notes:
             sys.stdout.write(f"{note}\n")
 
-    worst = _worst_status(statuses.values())
+    worst = worst_status(statuses.values())
     if len(figures) > 1 or worst != "ok":
         sys.stdout.write(
             format_table(
                 ["job", "status"],
-                [[fig, statuses.get(fig, "not started")] for fig in figures],
+                [[fig, statuses[fig]] for fig in figures],
                 title="job statuses",
             )
         )
         sys.stdout.write("\n")
     if worst != "ok":
         sys.stderr.write(f"job {worst}:\n")
-        for name, status, attempts, error in unit_rows:
+        for name, status, attempts, error in report.summary_rows():
             suffix = f" ({error})" if error else ""
             sys.stderr.write(f"  {name}: {status}{suffix}\n")
         if store is not None and results:
@@ -587,11 +511,13 @@ def _quickstart(args) -> int:
 def _chaos(args) -> int:
     from .chaos import (
         ChaosOptions,
+        ChaosReport,
         default_slo,
         replay_artifact,
-        run_chaos,
+        sweep_fingerprint,
     )
-    from .runner import CheckpointStore
+    from .fleet import chaos_tasks
+    from .runner import CheckpointStore, RetryPolicy
 
     if args.replay:
         from .telemetry import use
@@ -634,108 +560,20 @@ def _chaos(args) -> int:
         state_backend=args.state_backend,
         max_tracked_paths=args.max_paths,
     )
-    store = CheckpointStore(args.checkpoint_dir) if args.checkpoint_dir else None
-    from .telemetry import use
-
+    tasks = chaos_tasks(options)
     args.workers = _auto_count(args.workers)
     if args.process_faults and args.workers is None:
         raise ConfigError("--process-faults requires --workers")
+    store = None
+    if args.checkpoint_dir:
+        store = CheckpointStore(args.checkpoint_dir)
+        store.check_job(sweep_fingerprint(options))
 
-    tel = _telemetry_from_args(args)
     tracer = _tracer_from_args(args)
-    tel, shadow_tel = _shadow_telemetry(tel, tracer)
-    if args.workers is not None:
-        import tempfile
-
-        from .chaos.spec import CampaignSpec
-        from .fleet import (
-            FleetOptions,
-            chaos_tasks,
-            run_fleet,
-            sample_process_faults,
-        )
-        from .runner import RetryPolicy
-        from .runner.supervisor import JobReport, UnitOutcome
-
-        tasks = chaos_tasks(options)
-        plan = None
-        if args.process_faults:
-            plan = sample_process_faults(
-                args.seed, [t.name for t in tasks], args.process_faults
-            )
-        if store is None:
-            store = CheckpointStore(tempfile.mkdtemp(prefix="repro-fleet-"))
-        fingerprint = {
-            "kind": "chaos-sweep",
-            "seed": args.seed,
-            "campaigns": args.campaigns,
-            "simulator": args.simulator,
-            "include_silent": args.include_silent,
-        }
-        if options.exhaustion:
-            # same conditional keying as run_chaos: pre-existing sweep
-            # checkpoints keep their fingerprints
-            fingerprint["exhaustion"] = options.exhaustion
-            fingerprint["state_backend"] = options.state_backend
-            fingerprint["max_tracked_paths"] = options.max_tracked_paths
-        store.check_job(fingerprint)
-        mode = getattr(args, "telemetry", "off")
-        # default conviction: fast (5s) under a fault plan — the
-        # heartbeat pulse runs on its own thread, so 5s of silence from
-        # a live worker cannot happen by accident — else a generous 30s
-        hb_interval, hb_timeout = _heartbeat_from(
-            args, 5.0 if plan is not None else 30.0
-        )
-        from .trace import use_tracer
-
-        with use_tracer(tracer):
-            freport = run_fleet(
-                tasks,
-                store,
-                FleetOptions(
-                    workers=args.workers,
-                    telemetry_mode="trace" if mode == "jsonl" else mode,
-                    retry=RetryPolicy(seed=args.seed),
-                    deadline_seconds=args.deadline,
-                    fault_plan=plan,
-                    heartbeat_interval_seconds=hb_interval,
-                    heartbeat_timeout_seconds=hb_timeout,
-                ),
-                log=_runner_log,
-            )
-        tel = freport.telemetry
-        shadow_tel = False  # the merged fleet telemetry is the real one
-        from .chaos import ChaosReport
-
-        report = ChaosReport(
-            job=JobReport(
-                status=freport.status,
-                outcomes=[
-                    UnitOutcome(
-                        name=o.name,
-                        status=o.status,
-                        attempts=o.attempts,
-                        error=o.error,
-                        seconds=o.seconds,
-                    )
-                    for o in freport.outcomes
-                ],
-                results=dict(freport.results),
-            ),
-            specs=[CampaignSpec.from_dict(t.spec) for t in tasks],
-        )
-    else:
-        from .trace import use_tracer
-
-        with use_tracer(tracer), use(tel):
-            report = run_chaos(
-                options,
-                store=store,
-                deadline_seconds=args.deadline,
-                log=_runner_log,
-            )
-    if not shadow_tel:
-        _export_telemetry(args, tel)
+    report = ChaosReport(
+        _execute(args, tasks, store, tracer, RetryPolicy(seed=args.seed))
+    )
+    _export_telemetry(args, report.job.telemetry)
     _finish_trace(args, tracer)
     rows = []
     unit_names = sorted(report.job.results)
@@ -1034,8 +872,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--deadline", type=float, metavar="SECONDS", default=None,
-        help="wall-clock watchdog deadline (per job serially; for the "
-             "whole fleet with --workers)",
+        help="wall-clock watchdog deadline for the whole run (all "
+             "figures' units, in-process or with --workers)",
     )
     run.add_argument(
         "--retries", type=int, metavar="N", default=1,

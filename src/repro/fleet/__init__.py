@@ -1,8 +1,11 @@
-"""Crash-isolated multiprocess execution fabric.
+"""One task list, two executors: in-process or a crash-isolated fleet.
 
-``repro.fleet`` runs the repo's two unit-job families — figure sweep
-cells (:mod:`repro.runner.figures`) and chaos campaigns
-(:mod:`repro.chaos.engine`) — on a spawn-based worker pool with real
+``repro run`` and ``repro chaos`` each build one list of picklable tasks
+(:mod:`repro.fleet.jobs`) — figure sweep cells, shard-gang members, or
+chaos campaigns — and hand it to :func:`run_tasks`.  Without a worker
+count it runs the list in-process under a
+:class:`~repro.runner.supervisor.SupervisedRunner`; with one it runs the
+same list on a spawn-based worker pool (:func:`run_fleet`) with real
 fault tolerance:
 
 * hung workers are convicted by a heartbeat liveness watchdog and
@@ -38,28 +41,19 @@ from .jobs import (
     shard_figure_tasks,
 )
 from .merge import merge_registries, merge_telemetry
-from .pool import (
-    FLEET_STATUSES,
-    FleetOptions,
-    FleetReport,
-    TaskOutcome,
-    run_fleet,
-)
+from .pool import FleetOptions, run_fleet, run_tasks
 from .worker import WorkerConfig, worker_main
 
 __all__ = [
     "FAULT_KINDS",
-    "FLEET_STATUSES",
     "ChaosCampaignTask",
     "FigureUnitTask",
     "FleetOptions",
-    "FleetReport",
     "Heartbeat",
     "HeartbeatMonitor",
     "ProcessFault",
     "ProcessFaultPlan",
     "ShardUnitTask",
-    "TaskOutcome",
     "WorkerConfig",
     "chaos_tasks",
     "figure_tasks",
@@ -67,6 +61,7 @@ __all__ = [
     "merge_registries",
     "merge_telemetry",
     "run_fleet",
+    "run_tasks",
     "sample_process_faults",
     "worker_main",
 ]

@@ -1,19 +1,20 @@
-"""Picklable task descriptors: what crosses the spawn boundary.
+"""Picklable task descriptors: the one task list both executors run.
 
-A spawn-started worker shares nothing with the supervisor, so tasks must
-pickle — but the unit callables in :mod:`repro.runner.figures` are
-closures over settings and sweep cells, which do not.  The fix is to
-ship the *recipe* instead of the closure: a frozen dataclass carrying
-only primitives (figure name, unit name, settings fields, campaign spec
-dict).  The worker rebuilds the closure table from the recipe — unit
-construction is cheap; the expensive part is running the simulation —
-and selects its unit by name.  Determinism is free: the rebuilt unit is
-the same pure function of the same settings/seed the serial runner would
-have called.
+``repro run`` and ``repro chaos`` each build one list of these tasks and
+hand it to :func:`repro.fleet.run_tasks`, which runs it in-process or
+on the fleet.  A spawn-started worker shares nothing with the
+supervisor, so tasks must pickle — but the unit callables in
+:mod:`repro.runner.figures` are closures over settings and sweep cells,
+which do not.  The fix is to ship the *recipe* instead of the closure: a
+frozen dataclass carrying only primitives (figure name, unit name,
+settings fields, campaign spec dict).  ``task.run`` rebuilds the closure
+table from the recipe — unit construction is cheap; the expensive part
+is running the simulation — and selects its unit by name, in a worker
+or in-process alike.
 
 Task ``name``s double as checkpoint keys in the shared
-:class:`~repro.runner.checkpoint.CheckpointStore`, so the serial and
-fleet paths salvage each other's progress.
+:class:`~repro.runner.checkpoint.CheckpointStore`, so the in-process and
+fleet executors resume each other's progress.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..chaos.engine import CampaignJob, ChaosOptions, build_chaos_units
-from ..chaos.spec import CampaignSpec
+from ..chaos.engine import ChaosOptions, run_sweep_campaign
+from ..chaos.spec import CampaignSpec, exhaustion_campaign, sample_campaign
 from ..errors import ConfigError
 from ..experiments.common import FunctionalSettings
 from ..runner.figures import build_figure_job
@@ -89,13 +90,13 @@ class ChaosCampaignTask:
         return self.campaign
 
     def run(self, ctx: UnitContext) -> Any:
-        job = CampaignJob(
+        return run_sweep_campaign(
             CampaignSpec.from_dict(self.spec),
+            ctx,
             shrink=self.shrink,
             max_shrink_trials=self.max_shrink_trials,
             artifact_dir=self.artifact_dir,
         )
-        return job(ctx)
 
 
 @dataclass(frozen=True)
@@ -296,15 +297,41 @@ def shard_figure_tasks(
 
 
 def chaos_tasks(options: ChaosOptions) -> List[ChaosCampaignTask]:
-    """Tasks for one chaos sweep, in sweep (canonical) order."""
+    """Tasks for one chaos sweep, deterministic in ``options``: the
+    sampled campaigns, then the state-exhaustion ones."""
     options.validate()
+    specs = [
+        (
+            f"campaign-{index:03d}",
+            sample_campaign(
+                options.seed,
+                index,
+                simulator=options.simulator,
+                slo=options.slo,
+                include_silent=options.include_silent,
+            ),
+        )
+        for index in range(options.campaigns)
+    ] + [
+        (
+            f"exhaustion-{index:03d}",
+            exhaustion_campaign(
+                options.seed,
+                index,
+                slo=options.slo,
+                state_backend=options.state_backend,
+                max_tracked_paths=options.max_tracked_paths,
+            ),
+        )
+        for index in range(options.exhaustion)
+    ]
     return [
         ChaosCampaignTask(
             campaign=name,
-            spec=unit.spec.to_dict(),
-            shrink=unit.shrink,
-            max_shrink_trials=unit.max_shrink_trials,
-            artifact_dir=unit.artifact_dir,
+            spec=spec.to_dict(),
+            shrink=options.shrink,
+            max_shrink_trials=options.max_shrink_trials,
+            artifact_dir=options.artifact_dir,
         )
-        for name, unit in build_chaos_units(options)
+        for name, spec in specs
     ]

@@ -30,9 +30,10 @@ queue, all reporting into one result queue.  The supervision loop:
 Determinism: results are keyed by task name and every task is a pure
 function of its recipe, so scheduling cannot change them; telemetry
 pieces are folded in canonical task order by :mod:`repro.fleet.merge`.
-A ``FleetReport`` therefore matches its serial counterpart byte for
+The fleet's report therefore matches the in-process run's byte for
 byte, whatever the worker count, scheduling interleaving, or mid-run
-worker deaths.
+worker deaths.  :func:`run_tasks` is the entry point that picks between
+the two executors.
 """
 
 from __future__ import annotations
@@ -43,33 +44,28 @@ import os
 import tempfile
 import time
 from queue import Empty
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing import get_context
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..errors import ConfigError
 from ..runner.checkpoint import CheckpointStore
-from ..runner.supervisor import GracefulShutdown, RetryPolicy, Watchdog
-from ..telemetry import NullTelemetry
+from ..runner.supervisor import (
+    GracefulShutdown,
+    JobReport,
+    RetryPolicy,
+    SupervisedRunner,
+    UnitOutcome,
+    Watchdog,
+)
+from ..telemetry import NullTelemetry, use
 from ..trace import SpanHandle, current_tracer
 from .faults import ProcessFaultPlan
 from .heartbeat import HeartbeatMonitor
 from .merge import merge_telemetry
-from .worker import WorkerConfig, telemetry_key, worker_main
+from .worker import WorkerConfig, _fresh_telemetry, telemetry_key, worker_main
 
-__all__ = [
-    "FLEET_STATUSES",
-    "FleetOptions",
-    "FleetReport",
-    "TaskOutcome",
-    "run_fleet",
-]
-
-#: Fleet statuses from best to worst; extends the runner's job statuses
-#: with ``quarantined`` (a poison job was isolated).
-FLEET_STATUSES = (
-    "ok", "partial", "failed", "quarantined", "deadline", "interrupted",
-)
+__all__ = ["FleetOptions", "run_fleet", "run_tasks"]
 
 
 def _slug(name: str) -> str:
@@ -82,9 +78,11 @@ def _null_log(message: str) -> None:
 
 @dataclass
 class FleetOptions:
-    """Supervision knobs for one fleet run."""
+    """Supervision knobs for one :func:`run_tasks` call.  ``workers=None``
+    runs the tasks in-process, where only the telemetry, sanitize,
+    checkpoint, retry and deadline knobs apply."""
 
-    workers: int = 2
+    workers: Optional[int] = 2
     telemetry_mode: str = "off"
     sanitize: Optional[str] = None
     checkpoint_interval: int = 200
@@ -98,7 +96,7 @@ class FleetOptions:
     fault_plan: Optional[ProcessFaultPlan] = None
 
     def validate(self) -> None:
-        if self.workers < 1:
+        if self.workers is None or self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
         if self.max_worker_deaths < 1:
             raise ConfigError(
@@ -108,51 +106,6 @@ class FleetOptions:
             raise ConfigError(
                 "heartbeat_timeout_seconds must exceed the beat interval"
             )
-
-
-@dataclass
-class TaskOutcome:
-    """What happened to one task, fleet-wide."""
-
-    name: str
-    status: str  # "done" | "resumed" | "failed" | "quarantined"
-    attempts: int = 0
-    error: Optional[str] = None
-    seconds: float = 0.0
-    worker_deaths: int = 0
-
-
-@dataclass
-class FleetReport:
-    """Outcome of one fleet run; shaped like a ``JobReport`` plus
-    supervision facts."""
-
-    status: str
-    outcomes: List[TaskOutcome] = field(default_factory=list)
-    results: Dict[str, Any] = field(default_factory=dict)
-    telemetry: NullTelemetry = field(default_factory=NullTelemetry)
-    quarantined: List[str] = field(default_factory=list)
-    wall_seconds: float = 0.0
-    workers_spawned: int = 0
-
-    @property
-    def ok(self) -> bool:
-        return self.status == "ok"
-
-    def completed(self) -> List[str]:
-        return [o.name for o in self.outcomes if o.status in ("done", "resumed")]
-
-    def failed(self) -> List[str]:
-        return [
-            o.name for o in self.outcomes
-            if o.status in ("failed", "quarantined")
-        ]
-
-    def summary_rows(self) -> List[Tuple[str, str, int, str]]:
-        return [
-            (o.name, o.status, o.attempts, o.error or "")
-            for o in self.outcomes
-        ]
 
 
 class _Worker:
@@ -203,7 +156,7 @@ class _FleetRun:
         self.next_seq = 0
         self.inflight: Dict[int, Tuple[Any, int]] = {}  # seq -> (task, attempt)
         self.ready: List[Tuple[float, int, Any, int]] = []  # heap
-        self.outcomes: Dict[str, TaskOutcome] = {}
+        self.outcomes: Dict[str, UnitOutcome] = {}
         self.results: Dict[str, Any] = {}
         self.pieces: Dict[str, NullTelemetry] = {}
         self.deaths: Dict[str, Set[int]] = {}
@@ -371,7 +324,7 @@ class _FleetRun:
                 # order is stable across supervision sweeps
                 heapq.heappush(self.ready, entry)
 
-    def _finish(self, outcome: TaskOutcome) -> None:
+    def _finish(self, outcome: UnitOutcome) -> None:
         outcome.worker_deaths = len(self.deaths.get(outcome.name, ()))
         started = self.started.get(outcome.name)
         if started is not None and outcome.seconds <= 0.0:
@@ -387,7 +340,7 @@ class _FleetRun:
         self.results[name] = result
         self.pieces[name] = telemetry
         self._finish(
-            TaskOutcome(
+            UnitOutcome(
                 name=name,
                 status="resumed" if resumed else "done",
                 attempts=attempts,
@@ -400,7 +353,7 @@ class _FleetRun:
         if name in self.outcomes:
             return
         self._finish(
-            TaskOutcome(
+            UnitOutcome(
                 name=name, status="failed", attempts=attempts, error=error
             )
         )
@@ -429,7 +382,7 @@ class _FleetRun:
             fh.write("\n")
         os.replace(tmp, path)
         self._finish(
-            TaskOutcome(
+            UnitOutcome(
                 name=name,
                 status="quarantined",
                 attempts=attempts,
@@ -556,26 +509,18 @@ class _FleetRun:
         return len(self.outcomes) < len(self.tasks)
 
     # -- final assembly -------------------------------------------------
-    def report(self, status_override: Optional[str], wall: float) -> FleetReport:
-        ordered = [
-            self.outcomes[task.name]
-            for task in self.tasks
-            if task.name in self.outcomes
-        ]
-        quarantined = [o.name for o in ordered if o.status == "quarantined"]
-        if status_override is not None:
-            status = status_override
-        elif quarantined:
-            status = "quarantined"
-        else:
-            done = [o for o in ordered if o.status in ("done", "resumed")]
-            bad = [o for o in ordered if o.status == "failed"]
-            if not bad:
-                status = "ok"
-            elif done:
-                status = "partial"
-            else:
-                status = "failed"
+    def report(self, status_override: Optional[str]) -> JobReport:
+        report = JobReport(
+            status="ok",
+            outcomes=[
+                self.outcomes[task.name]
+                for task in self.tasks
+                if task.name in self.outcomes
+            ],
+            results=dict(self.results),
+            workers_spawned=self.workers_spawned,
+        )
+        report.settle(status_override)
         # tasks the run abandoned (deadline/interrupt) still hold open
         # supervisor-side spans; close them so the merged timeline is
         # truncation-free even on unclean exits
@@ -600,18 +545,12 @@ class _FleetRun:
             "merge.telemetry", cat="run", parent=self._fleet_span_id(),
             pieces=len(fold),
         ):
-            telemetry = merge_telemetry(fold)
+            report.telemetry = merge_telemetry(fold)
         if self.fleet_span is not None:
-            self.fleet_span.end(status=status, workers=self.workers_spawned)
-        return FleetReport(
-            status=status,
-            outcomes=ordered,
-            results=dict(self.results),
-            telemetry=telemetry,
-            quarantined=quarantined,
-            wall_seconds=wall,
-            workers_spawned=self.workers_spawned,
-        )
+            self.fleet_span.end(
+                status=report.status, workers=self.workers_spawned
+            )
+        return report
 
 
 def _recipe_of(task: Any) -> Dict[str, Any]:
@@ -627,10 +566,10 @@ def run_fleet(
     store: CheckpointStore,
     options: Optional[FleetOptions] = None,
     log: Optional[Callable[[str], None]] = None,
-) -> FleetReport:
+) -> JobReport:
     """Run ``tasks`` on a supervised spawn pool; returns a
-    :class:`FleetReport` equal to the serial run's, whatever happens to
-    the workers along the way."""
+    :class:`~repro.runner.supervisor.JobReport` equal to the in-process
+    run's, whatever happens to the workers along the way."""
     options = options if options is not None else FleetOptions()
     run = _FleetRun(tasks, store, options, log if log is not None else _null_log)
     run.fleet_span = run.tracer.span(
@@ -681,6 +620,48 @@ def run_fleet(
                     force = True
             finally:
                 run.stop_workers(force=force)
-        return run.report(status_override, time.monotonic() - started)
+        return run.report(status_override)
     finally:
         run.fleet_span.end()
+
+
+def run_tasks(
+    tasks: Sequence[Any],
+    store: Optional[CheckpointStore] = None,
+    options: Optional[FleetOptions] = None,
+    log: Optional[Callable[[str], None]] = None,
+) -> JobReport:
+    """Run a task list in-process (``options.workers is None``, also the
+    default) or on the fleet; one report type either way.
+
+    In-process, a :class:`~repro.runner.supervisor.SupervisedRunner`
+    runs ``(task.name, task.run)`` under one session telemetry, exported
+    as recorded (never re-associated by :mod:`repro.fleet.merge`).  The
+    fleet gets a scratch store when ``store`` is None: it shares results
+    and mid-task salvage through one.  Either way ``deadline_seconds``
+    bounds the whole task list.
+    """
+    options = options if options is not None else FleetOptions(workers=None)
+    if options.workers is not None:
+        if store is None:
+            store = CheckpointStore(tempfile.mkdtemp(prefix="repro-fleet-"))
+        return run_fleet(tasks, store, options, log)
+    mode = options.telemetry_mode
+    # with tracing on, telemetry "off" still records (into a shadow that
+    # is never exported) so the tracer gets per-unit phase spans
+    session = _fresh_telemetry(
+        mode, profile=mode != "off" or current_tracer().enabled
+    )
+    runner = SupervisedRunner(
+        store=store,
+        deadline_seconds=options.deadline_seconds,
+        retry=options.retry,
+        sanitize=options.sanitize,
+        checkpoint_interval=options.checkpoint_interval,
+        log=log,
+    )
+    with use(session):
+        report = runner.run_units([(task.name, task.run) for task in tasks])
+    if mode != "off":
+        report.telemetry = session
+    return report

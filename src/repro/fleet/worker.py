@@ -88,7 +88,8 @@ class HeartbeatPulse:
 
 
 def _fresh_telemetry(mode: str, profile: bool = False) -> NullTelemetry:
-    """One task's telemetry recorder.
+    """One task's telemetry recorder (in-process: the whole run's, see
+    :func:`repro.fleet.pool.run_tasks`).
 
     When tracing is on (``profile=True``) the recorder always carries a
     profiler so the tracer can synthesize per-tick phase spans; for

@@ -25,6 +25,7 @@ from .supervisor import (
     UnitContext,
     UnitOutcome,
     Watchdog,
+    worst_status,
 )
 
 __all__ = [
@@ -45,4 +46,5 @@ __all__ = [
     "UnitContext",
     "UnitOutcome",
     "Watchdog",
+    "worst_status",
 ]

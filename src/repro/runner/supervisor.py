@@ -32,15 +32,23 @@ from ..errors import (
     Interrupted,
     InvariantViolation,
 )
-from ..telemetry import current
+from ..telemetry import NullTelemetry, current
 from ..trace import current_tracer, phase_delta
 from .checkpoint import CheckpointStore
 
 #: Errors retrying cannot fix: same inputs -> same failure.
 NON_RETRYABLE = (ConfigError, InvariantViolation, DeadlineExceeded, Interrupted)
 
-#: Job-level statuses, from best to worst.
-JOB_STATUSES = ("ok", "partial", "failed", "deadline", "interrupted")
+#: Job statuses, from best to worst; a multi-job run reports its worst.
+#: ``quarantined`` (a poison task was isolated) only arises on the fleet.
+JOB_STATUSES = (
+    "ok", "partial", "failed", "quarantined", "deadline", "interrupted",
+)
+
+
+def worst_status(statuses) -> str:
+    """The worst of ``statuses`` in :data:`JOB_STATUSES` order."""
+    return max(statuses, key=JOB_STATUSES.index, default="ok")
 
 
 def _null_log(message: str) -> None:
@@ -223,29 +231,53 @@ class UnitOutcome:
     """What happened to one unit."""
 
     name: str
-    status: str  # "done" | "resumed" | "failed"
+    status: str  # "done" | "resumed" | "failed" | "quarantined"
     attempts: int = 0
     error: Optional[str] = None
     seconds: float = 0.0
+    #: distinct fleet workers that died holding this unit
+    worker_deaths: int = 0
 
 
 @dataclass
 class JobReport:
-    """Outcome of one supervised job."""
+    """Outcome of one job, run in-process or on the fleet."""
 
     status: str  # one of JOB_STATUSES
     outcomes: List[UnitOutcome] = field(default_factory=list)
     results: Dict[str, Any] = field(default_factory=dict)
+    #: the job's telemetry, ready to export (disabled when it was off)
+    telemetry: NullTelemetry = field(default_factory=NullTelemetry)
+    workers_spawned: int = 0
 
     @property
     def ok(self) -> bool:
         return self.status == "ok"
 
+    @property
+    def quarantined(self) -> List[str]:
+        return [o.name for o in self.outcomes if o.status == "quarantined"]
+
     def completed(self) -> List[str]:
         return [o.name for o in self.outcomes if o.status in ("done", "resumed")]
 
     def failed(self) -> List[str]:
-        return [o.name for o in self.outcomes if o.status == "failed"]
+        return [
+            o.name for o in self.outcomes
+            if o.status in ("failed", "quarantined")
+        ]
+
+    def settle(self, override: Optional[str] = None) -> None:
+        """Set the final status: ``override`` (a job-level stop such as
+        ``deadline``) if given, else derived from the unit outcomes."""
+        if override is not None:
+            self.status = override
+        elif self.quarantined:
+            self.status = "quarantined"
+        elif self.failed():
+            self.status = "partial" if self.completed() else "failed"
+        else:
+            self.status = "ok"
 
     def summary_rows(self) -> List[Tuple[str, str, int, str]]:
         return [
@@ -308,6 +340,7 @@ class SupervisedRunner:
             else None
         )
         report = JobReport(status="ok")
+        stopped: Optional[str] = None
         job_span = current_tracer().span("job", cat="job", units=len(units))
         try:
             with GracefulShutdown() as shutdown:
@@ -322,12 +355,11 @@ class SupervisedRunner:
                         )
                 except DeadlineExceeded as exc:
                     self._log(f"deadline: {exc}")
-                    report.status = "deadline"
+                    stopped = "deadline"
                 except Interrupted as exc:
                     self._log(f"interrupted: {exc}")
-                    report.status = "interrupted"
-            if report.status == "ok" and report.failed():
-                report.status = "partial" if report.completed() else "failed"
+                    stopped = "interrupted"
+            report.settle(stopped)
             job_span.end(status=report.status)
         finally:
             job_span.end()

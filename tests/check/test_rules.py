@@ -119,6 +119,20 @@ class TestFLC002PickleSafety:
         assert len(found) == 1
         assert "instance attribute" in found[0].message
 
+    def test_lambda_attribute_on_task_recipe_flagged(self):
+        # task recipes cross the spawn boundary by pickle
+        found = findings(
+            "FLC002",
+            """
+            class ChaosCampaignTask:
+                def __init__(self, spec):
+                    self.build = lambda: spec
+            """,
+            module="repro.fleet.jobs",
+        )
+        assert len(found) == 1
+        assert "instance attribute" in found[0].message
+
     def test_named_function_clean(self):
         found = findings(
             "FLC002",

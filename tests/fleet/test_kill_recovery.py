@@ -10,7 +10,7 @@ sweep that never saw a fault.
 
 import pytest
 
-from repro.chaos.engine import ChaosOptions, run_chaos
+from repro.chaos.engine import ChaosOptions
 from repro.errors import ConfigError
 from repro.fleet import (
     FleetOptions,
@@ -18,6 +18,7 @@ from repro.fleet import (
     ProcessFaultPlan,
     chaos_tasks,
     run_fleet,
+    run_tasks,
     sample_process_faults,
 )
 from repro.runner import CheckpointStore
@@ -51,8 +52,8 @@ class TestFaultPlan:
 
 class TestKillRecovery:
     def test_sigkilled_worker_resumes_elsewhere_digest_identical(self, tmp_path):
-        serial = run_chaos(options())
-        assert serial.job.status == "ok"
+        serial = run_tasks(chaos_tasks(options()))
+        assert serial.status == "ok"
 
         tasks = chaos_tasks(options())
         victim = tasks[0].name
@@ -80,10 +81,10 @@ class TestKillRecovery:
         # straight from the store)
         assert by_name[victim].worker_deaths >= 1
         assert fleet.workers_spawned > 2, "no replacement worker was spawned"
-        assert digests(fleet.results) == digests(serial.job.results)
+        assert digests(fleet.results) == digests(serial.results)
 
     def test_stalled_worker_is_convicted_and_digest_identical(self, tmp_path):
-        serial = run_chaos(options())
+        serial = run_tasks(chaos_tasks(options()))
         tasks = chaos_tasks(options())
         victim = tasks[-1].name
         plan = ProcessFaultPlan(
@@ -105,4 +106,4 @@ class TestKillRecovery:
         )
         assert fleet.status == "ok"
         assert fleet.workers_spawned > 2
-        assert digests(fleet.results) == digests(serial.job.results)
+        assert digests(fleet.results) == digests(serial.results)

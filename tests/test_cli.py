@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import FIGURES, build_parser, main
+from repro.cli import EXIT_CODES, FIGURES, build_parser, main
 
 
 class TestParser:
@@ -205,6 +205,54 @@ class TestMultiJobRuns:
         assert (
             (serial_csv / "fig03.csv").read_text()
             == (fleet_csv / "fig03.csv").read_text()
+        )
+
+
+class TestOneExecutionPath:
+    """In-process and ``--workers`` runs are one task list on two
+    executors: same deadline meaning, interchangeable checkpoints."""
+
+    @pytest.mark.parametrize(
+        "extra", [[], ["--workers", "1"]], ids=["in-process", "workers"]
+    )
+    def test_deadline_covers_the_whole_run(self, extra, tmp_path, capsys):
+        rc = main(
+            ["run", "fig03", "fig04", "--scale", "0.05", "--seconds", "1",
+             "--warmup", "0.5", "--deadline", "0.001",
+             "--checkpoint-dir", str(tmp_path / "ckpt")]
+            + extra
+        )
+        assert rc == EXIT_CODES["deadline"]
+        assert "deadline" in capsys.readouterr().out  # job status table
+
+    def test_figure_checkpoint_resumes_on_the_fleet(self, tmp_path, capsys):
+        ckpt = str(tmp_path / "ckpt")
+        assert main(["run", "fig03", "--checkpoint-dir", ckpt]) == 0
+        first = capsys.readouterr().out
+        assert main(["run", "fig03", "--workers", "1", "--resume", ckpt]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == first
+        assert "fig03: resumed" in captured.err
+
+    def test_chaos_fleet_checkpoint_resumes_in_process(
+        self, tmp_path, capsys
+    ):
+        common = [
+            "chaos", "--seed", "2024", "--campaigns", "1", "--simulator",
+            "packet", "--no-shrink", "--checkpoint-dir",
+            str(tmp_path / "ckpt"), "--artifact-dir", str(tmp_path / "art"),
+        ]
+        fleet_csv = tmp_path / "fleet"
+        serial_csv = tmp_path / "serial"
+        assert main(common + ["--workers", "1", "--csv", str(fleet_csv)]) == 0
+        capsys.readouterr()
+        assert main(common + ["--csv", str(serial_csv)]) == 0
+        err = capsys.readouterr().err
+        assert "campaign-000: resumed from checkpoint" in err
+        assert ": done (" not in err  # nothing re-ran
+        assert (
+            (fleet_csv / "chaos.csv").read_text()
+            == (serial_csv / "chaos.csv").read_text()
         )
 
 

@@ -9,9 +9,15 @@ observation-only contract.
 
 import pickle
 
-from repro.chaos import ChaosOptions, run_chaos
+from repro.chaos import ChaosOptions, ChaosReport
 from repro.experiments.common import FunctionalSettings
-from repro.fleet import FleetOptions, figure_tasks, run_fleet
+from repro.fleet import (
+    FleetOptions,
+    chaos_tasks,
+    figure_tasks,
+    run_fleet,
+    run_tasks,
+)
 import numpy as np
 
 from repro.inet.shard import BarrierExchange, ShardSpec
@@ -114,10 +120,10 @@ class TestChaosDigestIdentity:
             seed=4, campaigns=1, simulator="packet", shrink=False,
             artifact_dir=None,
         )
-        base = run_chaos(options)
+        base = ChaosReport(run_tasks(chaos_tasks(options)))
         tracer = Tracer(str(tmp_path), proc="main")
         with use_tracer(tracer):
-            traced = run_chaos(options)
+            traced = ChaosReport(run_tasks(chaos_tasks(options)))
         tracer.close()
         assert base.campaigns[0]["digest"] == traced.campaigns[0]["digest"]
         assert base.campaigns[0]["verdicts"] == (

@@ -75,22 +75,27 @@ def _profiled_smoke() -> Dict[str, object]:
 
     A small fixed scenario (independent of the bench scale knobs) so the
     subsystem fractions are comparable across commits even when the
-    figure set or scale changes.
+    figure set or scale changes.  The ticks are timed the way a traced
+    run times them: inside a ``Tracer.phases`` scope.
     """
+    import tempfile
+
     from repro.core.config import FLocConfig
     from repro.core.router import FLocPolicy
-    from repro.telemetry import Telemetry, use
+    from repro.trace import Tracer, use_tracer
     from repro.traffic.scenarios import build_tree_scenario
 
-    tel = Telemetry(mode="metrics", profile=True)
-    with use(tel):
-        scenario = build_tree_scenario(
-            scale_factor=0.05, attack_kind="cbr", attack_rate_mbps=2.0,
-            seed=1,
-        )
-        scenario.attach_policy(FLocPolicy(FLocConfig(s_max=25)))
-        scenario.run_seconds(3.0)
-    prof = tel.profiler
+    with tempfile.TemporaryDirectory(prefix="bench-trace-") as trace_dir:
+        tracer = Tracer(trace_dir, proc="bench")
+        with use_tracer(tracer), tracer.span("smoke") as span:
+            with tracer.phases(span) as prof:
+                scenario = build_tree_scenario(
+                    scale_factor=0.05, attack_kind="cbr",
+                    attack_rate_mbps=2.0, seed=1,
+                )
+                scenario.attach_policy(FLocPolicy(FLocConfig(s_max=25)))
+                scenario.run_seconds(3.0)
+        tracer.close()
     return {
         "ticks_profiled": prof.ticks_profiled,
         "total_seconds": round(prof.total_seconds, 6),

@@ -3,18 +3,20 @@
 
 The telemetry layer (:mod:`repro.telemetry`) observes a run without
 changing it: a metrics registry (counters, gauges, histograms, tick
-series), a tick-keyed decision-trace log, and a per-subsystem wall-time
-profiler.  This demo walks the whole surface by hand:
+series) and a tick-keyed decision-trace log.  Per-subsystem wall time
+comes from the span tracer (:mod:`repro.trace`), which times the ticks
+inside a ``Tracer.phases`` scope.  This demo walks the whole surface by
+hand:
 
 1. run the Section VI tree scenario under a CBR flood twice — once with
-   telemetry off, once with full tracing — and show the monitor output
-   is bit-identical (telemetry is observation-only);
+   telemetry off, once with full tracing and phase timing — and show
+   the monitor output is bit-identical (both are observation-only);
 2. read the registry: FLoc decision counters, the queue-depth
    histogram, and the engine's delivered-packet tick series;
 3. read the drop provenance — every engine drop carries exactly one
    cause from the Section V pipeline order — and the raw trace events
    behind it;
-4. print the profiler's per-subsystem wall-time breakdown;
+4. print the per-subsystem wall-time breakdown of the timed run;
 5. export everything (metrics.json, metrics.prom, series.csv,
    events.jsonl) the way ``repro run --telemetry trace`` does, then
    render the export back with the ``repro metrics`` loader.
@@ -29,6 +31,7 @@ from repro.core.config import FLocConfig
 from repro.core.router import FLocPolicy
 from repro.telemetry import DROP_CAUSES, NULL_TELEMETRY, Telemetry, use
 from repro.telemetry.exporters import export_all, load_metrics_json
+from repro.trace import Tracer, use_tracer
 from repro.traffic.scenarios import build_tree_scenario
 
 
@@ -50,8 +53,13 @@ def run_flood(tel):
 
 # -- 1. observation-only: identical results with telemetry on or off ----
 baseline = run_flood(NULL_TELEMETRY)
-tel = Telemetry(mode="trace", profile=True)
-traced = run_flood(tel)
+tel = Telemetry(mode="trace")
+with tempfile.TemporaryDirectory() as trace_dir:
+    tracer = Tracer(trace_dir, proc="demo")
+    with use_tracer(tracer), tracer.span("flood") as span:
+        with tracer.phases(span) as prof:
+            traced = run_flood(tel)
+    tracer.close()
 
 assert traced.service_counts == baseline.service_counts
 assert traced.drop_counts == baseline.drop_counts
@@ -89,7 +97,7 @@ print(f"trace totals: {tel.trace.emitted_total} events emitted, "
 
 # -- 4. where the wall time went ----------------------------------------
 print("\nper-subsystem wall-time fractions:")
-for name, frac in sorted(tel.profiler.breakdown().items()):
+for name, frac in sorted(prof.breakdown().items()):
     print(f"  {name:10s} {frac:6.1%}")
 
 # -- 5. export and reload, the CLI round trip ---------------------------

@@ -28,11 +28,10 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-import numpy as np
-
 from ..core.config import FLocConfig
 from ..core.router import FLocPolicy
 from ..errors import ConfigError
+from ..experiments.robustness_faults import busiest_legit_as
 from ..faults import FaultSchedule
 from ..faults.injectors import (
     FluidCounterCorruption,
@@ -329,18 +328,6 @@ def _execute_packet(spec: CampaignSpec) -> Measurements:
 # ----------------------------------------------------------------------
 # fluid-simulator execution
 # ----------------------------------------------------------------------
-def _busiest_legit_as(scn: InternetScenario) -> int:
-    """The non-attack AS hosting the most legitimate flows (the uplink a
-    degrade fault hits, so legitimate traffic feels it most)."""
-    counts = np.bincount(
-        scn.flow_origin_as[~scn.flow_is_attack], minlength=scn.n_links
-    )
-    counts[0] = 0  # the target itself hosts no sources
-    for asn in scn.attack_ases:
-        counts[asn] = 0
-    return int(counts.argmax())
-
-
 def _fluid_fault_schedule(
     spec: CampaignSpec, schedule: FaultSchedule, scn: InternetScenario
 ) -> None:
@@ -353,7 +340,7 @@ def _fluid_fault_schedule(
             )
         elif fault.kind == "link_degrade":
             degrade = FluidLinkDegrade(
-                _busiest_legit_as(scn), factor=fault.param
+                busiest_legit_as(scn), factor=fault.param
             )
             schedule.at(fault.tick, degrade.down, name="uplink-degrade")
             schedule.at(

@@ -88,7 +88,7 @@ def run_sweep_campaign(
     with tracer.span(
         "campaign.run", cat="campaign",
         parent=ctx.trace_parent, simulator=spec.simulator,
-    ) as span:
+    ) as span, tracer.phases(span):
         result = run_campaign(spec)
         span.end(ok=result.ok)
     out: Dict[str, Any] = {
@@ -107,7 +107,7 @@ def run_sweep_campaign(
     with tracer.span(
         "campaign.shrink", cat="campaign",
         parent=ctx.trace_parent, slo=violated.slo,
-    ) as span:
+    ) as span, tracer.phases(span):
         shrunk = shrink_campaign(
             spec,
             violated.slo,

@@ -15,22 +15,18 @@ packages that means:
 Injected clocks (``repro.runner``'s ``clock=time.monotonic`` parameters)
 live outside the simulation scope and are exempt by construction.
 
-The telemetry package is in scope — its registry, event log, and
-exporters must be tick-driven so traces replay byte-identically — with
-exactly one carve-out: :data:`WALL_CLOCK_ALLOWED_MODULES` exempts
-``repro.telemetry.profiler`` from the *wall-clock* findings (and only
-those).  The tick profiler's entire job is attributing real elapsed time
-to subsystems; its measurements never feed back into simulation state,
-and its pickle support erases them so checkpoints and digests stay
-wall-clock-free.
+The telemetry package is in scope with no carve-out: its registry,
+event log, and exporters must be tick-driven so traces replay
+byte-identically.
 
-The span-tracing package ``repro.trace`` is in scope on the same terms:
-its one allowed clock is ``repro.trace.clock`` (the second and last
-entry in :data:`WALL_CLOCK_ALLOWED_MODULES`), every other trace module
-must go through it, and span timestamps only ever reach per-process
-JSONL text files — never pickles or digests, which FLC012 enforces
-structurally (``__getstate__`` must pickle empty) and a digest-identity
-test locks end to end.
+The span-tracing package ``repro.trace`` is in scope with exactly one
+carve-out: :data:`WALL_CLOCK_ALLOWED_MODULES` exempts
+``repro.trace.clock`` from the *wall-clock* findings (and only those).
+Every other trace module — the tick profiler included — must go
+through it, and span timestamps and phase laps only ever reach
+per-process JSONL text files — never pickles or digests, which FLC012
+enforces structurally (``__getstate__`` must pickle empty) and a
+digest-identity test locks end to end.
 """
 
 from __future__ import annotations
@@ -61,13 +57,10 @@ WALL_CLOCK_CALLS = frozenset(
 )
 
 #: Modules exempt from the wall-clock findings only (random/numpy rules
-#: still apply).  Two entries, both observation-only by construction:
-#: the tick profiler and the span tracer's clock module — their state
-#: never reaches digests or checkpoints (pickle support erases it; see
+#: still apply): the span tracer's clock module, observation-only by
+#: construction — its readings never reach digests or checkpoints (see
 #: FLC012 for the structural enforcement).
-WALL_CLOCK_ALLOWED_MODULES = frozenset(
-    {"repro.telemetry.profiler", "repro.trace.clock"}
-)
+WALL_CLOCK_ALLOWED_MODULES = frozenset({"repro.trace.clock"})
 
 #: ``random`` module attributes that are safe: seeded RNG constructors.
 SEEDED_RANDOM_OK = frozenset({"random.Random", "random.SystemRandom"})

@@ -23,7 +23,7 @@ Commands
     re-executes and verifies (see :mod:`repro.chaos`).
 ``check [options]``
     The flocheck static-analysis rules (see :mod:`repro.check`).
-``metrics PATH [--profile]``
+``metrics PATH``
     Render a ``metrics.json`` telemetry export (or the directory holding
     one) as a table.
 ``trace {report,export} DIR``
@@ -35,15 +35,16 @@ Commands
 ``run`` and ``chaos`` accept ``--telemetry {off,metrics,trace,jsonl}``:
 ``metrics`` records the registry (counters, gauges, series), ``trace``
 additionally logs every FLoc decision event keyed by simulation tick
-(``jsonl`` is an alias emphasising the event-log artifact), and both
-profile per-subsystem wall time.  Exports land in ``--telemetry-dir``
-(default ``telemetry/``).  Telemetry is observation-only: results and
-digests are byte-identical with it on or off.
+(``jsonl`` is an alias emphasising the event-log artifact).  Exports
+land in ``--telemetry-dir`` (default ``telemetry/``).  Telemetry is
+observation-only: results and digests are byte-identical with it on or
+off.
 
 ``run`` and ``chaos`` also accept ``--trace``: wall-clock span tracing
 of the execution fabric itself (supervisor, fleet workers, shard
-barriers, checkpoint/salvage, chaos campaigns, per-tick phases).  Every
-process appends to its own ``spans-*.jsonl`` under ``--trace-dir``
+barriers, checkpoint/salvage, chaos campaigns), with per-tick phase
+wall time measured inside the span that ran the ticks.  Every process
+appends to its own ``spans-*.jsonl`` under ``--trace-dir``
 (default ``trace/``); at the end of the run the files are merged into a
 Perfetto-loadable ``trace.json`` and a summary is printed.  Like
 telemetry, tracing is observation-only — digests are byte-identical
@@ -181,9 +182,7 @@ def _telemetry_from_args(args):
     if mode == "off":
         return NULL_TELEMETRY
     # "jsonl" is the tracing mode named after its artifact
-    return Telemetry(
-        mode="trace" if mode == "jsonl" else mode, profile=True
-    )
+    return Telemetry(mode="trace" if mode == "jsonl" else mode)
 
 
 def _tracer_from_args(args):
@@ -669,12 +668,6 @@ def _metrics(args) -> int:
             + (f" ({kinds})" if kinds else "")
             + "\n"
         )
-    profile = payload.get("profile")
-    if profile and args.profile:
-        for subsystem, seconds in sorted(
-            profile.get("totals_seconds", {}).items()
-        ):
-            sys.stdout.write(f"profile: {subsystem} {seconds:.6f}s\n")
     return 0
 
 
@@ -958,10 +951,6 @@ def build_parser() -> argparse.ArgumentParser:
     metrics.add_argument(
         "path", metavar="PATH",
         help="a metrics.json file, or the --telemetry-dir that holds one",
-    )
-    metrics.add_argument(
-        "--profile", action="store_true",
-        help="also print the per-subsystem wall-time profile, if recorded",
     )
 
     trace = sub.add_parser(

@@ -30,7 +30,7 @@ import numpy as np
 
 from ..core.config import FLocConfig
 from ..faults import FaultSchedule, FluidLinkDegrade, fluid_restart
-from ..inet.scenarios import build_internet_scenario
+from ..inet.scenarios import InternetScenario, build_internet_scenario
 from ..inet.simulator import FluidSimulator
 from ..net.engine import LinkMonitor
 from ..sanitize import install_sanitizer
@@ -162,8 +162,9 @@ def run_packet_faults(
     return results
 
 
-def _busiest_legit_as(scn) -> int:
-    """The non-attack AS hosting the most legitimate flows."""
+def busiest_legit_as(scn: InternetScenario) -> int:
+    """The non-attack AS hosting the most legitimate flows (the uplink a
+    degrade fault hits, so legitimate traffic feels it most)."""
     counts = np.bincount(
         scn.flow_origin_as[~scn.flow_is_attack], minlength=scn.n_links
     )
@@ -207,7 +208,7 @@ def run_fluid_faults(
             t1, fluid_restart(warmup_ticks=max(1, phase // 2)),
             name="defense-restart",
         )
-        degrade = FluidLinkDegrade(_busiest_legit_as(scn), factor=0.3)
+        degrade = FluidLinkDegrade(busiest_legit_as(scn), factor=0.3)
         faults.at(t1, degrade.down, name="uplink-degrade")
         faults.at(t2, degrade.up, name="uplink-restore")
         faults.install(sim)

@@ -210,6 +210,9 @@ class FaultSchedule:
 class _InstalledSchedule:
     """One installation of a schedule on one host: the tick hook."""
 
+    #: the hook's tick-phase name in trace phase attribution
+    telemetry_label = "faults"
+
     schedule: "FaultSchedule"
     rng: "random.Random"
 

@@ -194,6 +194,7 @@ class ShardUnitTask:
             shutdown=ctx.shutdown,
             watchdog=ctx.watchdog,
             prepare=prepare,
+            trace_parent=ctx.trace_parent,
         )
 
 

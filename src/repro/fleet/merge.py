@@ -186,7 +186,6 @@ def merge_telemetry(pieces: Sequence[NullTelemetry]) -> NullTelemetry:
     )
     merged = Telemetry(
         mode=first.mode,
-        profile=any(p.profile_enabled for p in enabled),
         max_events=max_events,
         sample_interval_ticks=first.sample_interval_ticks,
     )

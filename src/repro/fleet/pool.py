@@ -646,12 +646,7 @@ def run_tasks(
         if store is None:
             store = CheckpointStore(tempfile.mkdtemp(prefix="repro-fleet-"))
         return run_fleet(tasks, store, options, log)
-    mode = options.telemetry_mode
-    # with tracing on, telemetry "off" still records (into a shadow that
-    # is never exported) so the tracer gets per-unit phase spans
-    session = _fresh_telemetry(
-        mode, profile=mode != "off" or current_tracer().enabled
-    )
+    session = _fresh_telemetry(options.telemetry_mode)
     runner = SupervisedRunner(
         store=store,
         deadline_seconds=options.deadline_seconds,
@@ -662,6 +657,6 @@ def run_tasks(
     )
     with use(session):
         report = runner.run_units([(task.name, task.run) for task in tasks])
-    if mode != "off":
+    if session.enabled:
         report.telemetry = session
     return report

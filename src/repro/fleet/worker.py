@@ -41,7 +41,6 @@ from ..trace import (
     TraceContext,
     Tracer,
     current_tracer,
-    phase_delta,
     use_tracer,
 )
 from .faults import FaultInjector, ProcessFaultPlan
@@ -87,23 +86,10 @@ class HeartbeatPulse:
         self._heartbeat.beat("run", job=self._job)
 
 
-def _fresh_telemetry(mode: str, profile: bool = False) -> NullTelemetry:
+def _fresh_telemetry(mode: str) -> NullTelemetry:
     """One task's telemetry recorder (in-process: the whole run's, see
-    :func:`repro.fleet.pool.run_tasks`).
-
-    When tracing is on (``profile=True``) the recorder always carries a
-    profiler so the tracer can synthesize per-tick phase spans; for
-    ``mode == "off"`` that means a *shadow* telemetry the caller must
-    discard after the profiler is read — it exists only to feed the
-    trace, never the store or the supervisor's merge.
-    """
-    if mode == "off":
-        return (
-            Telemetry(mode="metrics", profile=True)
-            if profile
-            else NullTelemetry()
-        )
-    return Telemetry(mode=mode, profile=profile)
+    :func:`repro.fleet.pool.run_tasks`)."""
+    return NullTelemetry() if mode == "off" else Telemetry(mode=mode)
 
 
 def _run_task(
@@ -127,9 +113,7 @@ def _run_task(
             else NullTelemetry()
         )
         return result, telemetry, True
-    tracer = current_tracer()
-    telemetry = _fresh_telemetry(config.telemetry_mode, profile=tracer.enabled)
-    shadow = config.telemetry_mode == "off" and telemetry.enabled
+    telemetry = _fresh_telemetry(config.telemetry_mode)
     ctx = UnitContext(
         name=name,
         store=store,
@@ -139,24 +123,8 @@ def _run_task(
         checkpoint_interval=config.checkpoint_interval,
         trace_parent=task_span.span_id,
     )
-    profile_before = (
-        dict(telemetry.profiler.totals_seconds)
-        if telemetry.profiler is not None
-        else {}
-    )
-    with use(telemetry):
+    with use(telemetry), current_tracer().phases(task_span):
         result = task.run(ctx)
-    if telemetry.profiler is not None:
-        tracer.emit_phases(
-            task_span,
-            phase_delta(
-                profile_before, dict(telemetry.profiler.totals_seconds)
-            ),
-        )
-    if shadow:
-        # the shadow recorder existed only for the profiler above; the
-        # supervisor asked for telemetry off, so ship (and store) none
-        telemetry = NullTelemetry()
     if telemetry.enabled:
         store.save("telemetry", telemetry_key(name), telemetry)
     store.save("unit", name, result)

@@ -265,7 +265,9 @@ class BarrierExchange:
         must be integers: they are summed across shards, which is exact
         in any order.
         """
-        with self.tracer.span(
+        # barrier spans parent under the open tick-phase scope (the
+        # shard's ``ticks`` span) and their time stays out of its laps
+        with self.tracer.scope_span(
             "barrier.publish", cat="barrier",
             tick=tick, round=round_key, shard=self.spec.shard,
         ):
@@ -276,7 +278,7 @@ class BarrierExchange:
             self._collect_garbage(tick)
         # the collect span *is* the barrier wait: its duration is how
         # long this shard idled for its slowest peer this round
-        with self.tracer.span(
+        with self.tracer.scope_span(
             "barrier.collect", cat="barrier",
             tick=tick, round=round_key, shard=self.spec.shard,
         ):

@@ -55,6 +55,7 @@ from ..core.aggregation import build_plan
 from ..core.conformance import ConformanceTracker
 from ..errors import ConfigError
 from ..telemetry import NullTelemetry, current
+from ..trace import current_tracer
 from .scenarios import InternetScenario
 
 STRATEGIES = ("nd", "ff", "floc")
@@ -667,7 +668,7 @@ class FluidSimulator:
             return False
         tick = self._run_tick
         tel = self.telemetry
-        prof = tel.profiler if tel.profile_enabled else None
+        prof = current_tracer().profiler
         clock = prof.start() if prof is not None else 0.0
         if prof is None:
             for hook in self._tick_hooks:

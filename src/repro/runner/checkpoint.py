@@ -13,9 +13,8 @@ entries, all pickled Python objects:
   job, clearly segregated from trustworthy ``unit`` entries.
 * ``telemetry`` — the run's telemetry object (metrics registry and, when
   tracing, the event log), saved alongside each unit so a resumed run
-  continues its exported series instead of restarting them.  The tick
-  profiler deliberately pickles to an empty state: wall-clock data never
-  survives a checkpoint.
+  continues its exported series instead of restarting them.  Telemetry
+  holds no wall-clock data, so none ever survives a checkpoint.
 
 Crash safety is torn-write-proof by construction: every file is written
 to a temporary name in the same directory, fsynced, then atomically

@@ -171,7 +171,7 @@ def run_checkpointed(
         with tracer.span(
             "ticks", cat="run", parent=trace_parent, unit=name,
             segment=segment,
-        ) as span:
+        ) as span, tracer.phases(span):
             run.advance(checkpoint_interval)
             span.end(ticks_done=run.ticks_done)
         segment += 1

@@ -33,7 +33,7 @@ from ..errors import (
     InvariantViolation,
 )
 from ..telemetry import NullTelemetry, current
-from ..trace import current_tracer, phase_delta
+from ..trace import current_tracer
 from .checkpoint import CheckpointStore
 
 #: Errors retrying cannot fix: same inputs -> same failure.
@@ -57,19 +57,6 @@ def _null_log(message: str) -> None:
     Module-level (not a lambda) so a runner instance holding it stays
     picklable for checkpoint/salvage paths.
     """
-
-
-def _profiler_totals() -> Dict[str, float]:
-    """Snapshot of the session profiler's per-subsystem totals.
-
-    Used to synthesize per-phase child spans for a unit (the delta
-    between two snapshots is the unit's own tick-phase time); empty when
-    profiling is off, which turns the synthesis into a no-op.
-    """
-    profiler = current().profiler
-    if profiler is None:
-        return {}
-    return dict(profiler.totals_seconds)
 
 
 class Watchdog:
@@ -394,12 +381,13 @@ class SupervisedRunner:
         )
         attempts = 0
         started = self._clock()
-        profile_before = _profiler_totals()
         try:
             while True:
                 attempts += 1
                 try:
-                    result = fn(ctx)
+                    # the unit's own tick phases, timed under its span
+                    with tracer.phases(span):
+                        result = fn(ctx)
                 except (DeadlineExceeded, Interrupted):
                     # job-level conditions: unwind to run_units, which stamps
                     # the report status (completed units stay salvageable)
@@ -444,8 +432,7 @@ class SupervisedRunner:
                 telemetry = current()
                 if telemetry.enabled:
                     # snapshot after every completed unit: at most one unit's
-                    # worth of telemetry is lost to a crash (the profiler's
-                    # wall-clock state intentionally pickles away to empty)
+                    # worth of telemetry is lost to a crash
                     self.store.save("telemetry", "registry", telemetry)
             report.results[name] = result
             report.outcomes.append(
@@ -455,9 +442,6 @@ class SupervisedRunner:
                     attempts=attempts,
                     seconds=self._clock() - started,
                 )
-            )
-            tracer.emit_phases(
-                span, phase_delta(profile_before, _profiler_totals())
             )
             span.end(status="done", attempts=attempts)
             self._log(f"{name}: done ({attempts} attempt(s))")

@@ -5,13 +5,14 @@ Where :mod:`repro.telemetry` answers *what did the simulation decide*
 this package answers *where did the wall clock go*: spans covering the
 supervisor, fleet pool workers, shard gangs (barrier publish / collect /
 timeout epochs), SupervisedRunner phases (checkpoint save / load /
-salvage, watchdog retries), chaos campaign jobs, and — synthesized from
-:class:`~repro.telemetry.profiler.TickProfiler` totals — the per-tick
-engine/fluid phases.
+salvage, watchdog retries), chaos campaign jobs, and — measured by
+the :class:`~repro.trace.profiler.TickProfiler` that :meth:`Tracer.phases`
+installs for the span they ran in — the per-tick engine/fluid phases.
 
 Layout::
 
     clock.py     the only wall-clock reads in the package (FLC001 exempt)
+    profiler.py  TickProfiler: per-subsystem tick-phase laps
     spans.py     Tracer / NullTracer / SpanHandle / TraceContext,
                  per-process JSONL span sinks, current_tracer()/use_tracer()
     merge.py     deterministic canonical-order merge + torn-file salvage
@@ -19,11 +20,11 @@ Layout::
                  barrier-wait straggler report
     export.py    Chrome trace-event / Perfetto JSON + ASCII reports
 
-The cardinal rule, shared with the tick profiler and enforced by
-flocheck (FLC001 scope + FLC012 span hygiene): wall-clock data flows
-*one way*, out to JSONL span files — never into run digests, checkpoint
-pickles, or simulated quantities.  Run digests are byte-identical with
-tracing on or off (regression-locked in ``tests/trace``).
+The cardinal rule, enforced by flocheck (FLC001 scope + FLC012 span
+hygiene): wall-clock data flows *one way*, out to JSONL span files —
+never into run digests, checkpoint pickles, or simulated quantities.
+Run digests are byte-identical with tracing on or off (regression-locked
+in ``tests/trace``).
 """
 
 from __future__ import annotations
@@ -38,9 +39,9 @@ from .spans import (
     TraceContext,
     Tracer,
     current_tracer,
-    phase_delta,
     use_tracer,
 )
+from .profiler import TickProfiler
 
 __all__ = [
     "MergedTrace",
@@ -48,6 +49,7 @@ __all__ = [
     "NullTracer",
     "Span",
     "SpanHandle",
+    "TickProfiler",
     "TraceAnalysis",
     "TraceContext",
     "Tracer",
@@ -57,7 +59,6 @@ __all__ = [
     "critical_path",
     "current_tracer",
     "merge_trace",
-    "phase_delta",
     "render_report",
     "use_tracer",
     "write_chrome_trace",

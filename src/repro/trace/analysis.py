@@ -18,7 +18,9 @@ Three views:
 * **Phase attribution** — buckets span time into the named phases the
   roadmap cares about (queueing / barrier-wait / checkpoint / salvage /
   ...), using each span's *self* time so a second is never attributed
-  twice.
+  twice.  A span's ``phases`` event (its measured tick-phase laps, see
+  :meth:`repro.trace.Tracer.phases`) is charged against that span's
+  self time, and the remainder goes to the span's own phase.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from .merge import MergedTrace, Span
+from .merge import MergedTrace, Span, TraceEventRecord
 
 __all__ = [
     "PhaseRollup",
@@ -37,9 +39,8 @@ __all__ = [
     "self_times",
 ]
 
-#: span (cat, name) -> report phase.  Synthetic ``cat="phase"`` spans
-#: (from TickProfiler totals) attribute under their own subsystem name,
-#: so the engine's ``queueing`` hot path shows up by name.
+#: span cat -> report phase.  Tick phases (``queueing``, ``policy``, ...)
+#: come from ``phases`` events instead, under their subsystem names.
 _PHASE_BY_CAT: Dict[str, str] = {
     "barrier": "barrier-wait",
     "checkpoint": "checkpoint",
@@ -50,9 +51,7 @@ _PHASE_BY_CAT: Dict[str, str] = {
 
 
 def attribute_phase(span: Span) -> str:
-    """The report phase a span's self time is charged to."""
-    if span.cat == "phase":
-        return span.name
+    """The report phase a span's unmeasured self time is charged to."""
     if span.cat in _PHASE_BY_CAT:
         return _PHASE_BY_CAT[span.cat]
     if span.name.startswith("checkpoint"):
@@ -64,37 +63,63 @@ def attribute_phase(span: Span) -> str:
     return span.cat
 
 
-def self_times(trace: MergedTrace) -> Dict[str, float]:
-    """Per-span self time: duration minus the union of child intervals.
+def _uncovered(
+    span: Span, children: List[Span]
+) -> List[Tuple[float, float]]:
+    """The parts of ``span`` no child interval covers (children clipped
+    to the span; overlapping children merged)."""
+    pieces: List[Tuple[float, float]] = []
+    cursor = span.start
+    for child in sorted(children, key=lambda c: c.start):
+        lo = max(cursor, child.start)
+        if lo > cursor:
+            pieces.append((cursor, min(lo, span.end)))
+        cursor = max(cursor, min(child.end, span.end))
+        if cursor >= span.end:
+            break
+    if span.end > cursor:
+        pieces.append((cursor, span.end))
+    return [(lo, hi) for lo, hi in pieces if hi > lo]
 
-    Children may overlap each other (synthetic phase spans are laid out
-    back to back but a truncated child can overshoot), so the covered
-    time is the length of the merged interval union, clipped to the
-    parent — never letting self time go negative.
+
+def self_times(trace: MergedTrace) -> Dict[str, float]:
+    """Per-span self time: the span's life not covered by its children,
+    each second of a process lane charged once.
+
+    Children may overlap each other (concurrent children, or a
+    truncated child that overshoots), so the covered time is their
+    merged interval union, clipped to the parent — never letting self
+    time go negative.  Sibling spans of one process can be open at the
+    same time too (the fleet supervisor's per-task spans while workers
+    boot); an instant of a lane uncovered in several spans at once is
+    split evenly between them, so a lane's self times sum to at most its
+    wall extent.
     """
     children = trace.children()
     out: Dict[str, float] = {}
+    edges_by_proc: Dict[str, List[Tuple[float, int, str]]] = {}
     for span in trace.spans:
-        intervals: List[Tuple[float, float]] = []
-        for child in children.get(span.span_id, ()):
-            lo = max(span.start, child.start)
-            hi = min(span.end, child.end)
-            if hi > lo:
-                intervals.append((lo, hi))
-        intervals.sort()
-        covered = 0.0
-        cursor: Optional[float] = None
-        edge = 0.0
-        for lo, hi in intervals:
-            if cursor is None or lo > edge:
-                if cursor is not None:
-                    covered += edge - cursor
-                cursor, edge = lo, hi
+        out[span.span_id] = 0.0
+        edges = edges_by_proc.setdefault(span.proc, [])
+        for lo, hi in _uncovered(span, children.get(span.span_id, [])):
+            edges.append((lo, 1, span.span_id))
+            edges.append((hi, -1, span.span_id))
+    for edges in edges_by_proc.values():
+        # ends sort before starts at one instant: touching pieces never
+        # share the boundary
+        edges.sort()
+        active: List[str] = []
+        prev = 0.0
+        for ts, kind, span_id in edges:
+            if active and ts > prev:
+                share = (ts - prev) / len(active)
+                for open_id in active:
+                    out[open_id] += share
+            prev = ts
+            if kind > 0:
+                active.append(span_id)
             else:
-                edge = max(edge, hi)
-        if cursor is not None:
-            covered += edge - cursor
-        out[span.span_id] = max(0.0, span.duration - covered)
+                active.remove(span_id)
     return out
 
 
@@ -148,9 +173,41 @@ def critical_path(trace: MergedTrace) -> List[Span]:
     return path
 
 
+def _measured_phases(
+    events: List[TraceEventRecord],
+) -> Dict[Optional[str], Dict[str, float]]:
+    """Span id -> tick-phase seconds from its ``phases`` events."""
+    out: Dict[Optional[str], Dict[str, float]] = {}
+    for event in events:
+        if event.cat != "phase" or event.name != "phases":
+            continue
+        laps = out.setdefault(event.parent, {})
+        for name, seconds in (event.args.get("seconds") or {}).items():
+            laps[name] = laps.get(name, 0.0) + float(seconds)
+    return out
+
+
+def _charge_self_time(
+    span: Span, self_seconds: float, laps: Dict[str, float]
+) -> Dict[str, float]:
+    """Split one span's self time into report phases.
+
+    The measured ``laps`` are charged first — scaled down pro rata if
+    clock granularity makes them exceed the self time — and whatever
+    remains goes to :func:`attribute_phase` of the span itself.
+    """
+    measured = sum(laps.values())
+    scale = min(1.0, self_seconds / measured) if measured > 0.0 else 0.0
+    out = {name: seconds * scale for name, seconds in laps.items()}
+    own = attribute_phase(span)
+    out[own] = out.get(own, 0.0) + max(0.0, self_seconds - measured * scale)
+    return out
+
+
 def analyze(trace: MergedTrace) -> TraceAnalysis:
     """Run every analysis over a merged timeline."""
     selfs = self_times(trace)
+    laps_by_span = _measured_phases(trace.events)
     rollups: Dict[Tuple[str, str], PhaseRollup] = {}
     phases: Dict[str, float] = {}
     barrier_wait: Dict[str, float] = {}
@@ -164,8 +221,10 @@ def analyze(trace: MergedTrace) -> TraceAnalysis:
         roll.self_seconds += selfs[span.span_id]
         if span.truncated:
             roll.truncated += 1
-        phase = attribute_phase(span)
-        phases[phase] = phases.get(phase, 0.0) + selfs[span.span_id]
+        for phase, seconds in _charge_self_time(
+            span, selfs[span.span_id], laps_by_span.get(span.span_id, {})
+        ).items():
+            phases[phase] = phases.get(phase, 0.0) + seconds
         if span.cat == "barrier" and span.name == "barrier.collect":
             barrier_wait[span.proc] = barrier_wait.get(span.proc, 0.0) + span.duration
     straggler: Optional[str] = None

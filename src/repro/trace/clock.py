@@ -1,7 +1,9 @@
 """The only wall clock in :mod:`repro.trace`.
 
-Every timestamp the tracer emits comes from this module, and this module
-is the *only* place in the package allowed to read the host clock — a
+Every timestamp the tracer emits and every tick-phase lap the
+:class:`~repro.trace.profiler.TickProfiler` takes comes from this
+module, and this module is the *only* place in the package allowed to
+read the host clock — a
 containment boundary enforced by flocheck (FLC001 allowlists exactly
 ``repro.trace.clock``; FLC012 flags wall-clock reads anywhere else under
 ``repro.trace``).  Keeping the reads in one ~40-line file makes the
@@ -10,11 +12,13 @@ nothing a span touches may ever flow into a run digest or a checkpoint,
 and the easiest way to prove that is to make every clock read pass
 through here on its way to a JSONL sink and nowhere else.
 
-``time.time`` (not ``perf_counter``) on purpose: span files from
-different *processes* must land on one shared timeline, and
-``perf_counter``'s epoch is per-process.  Sub-millisecond monotonicity
-is not required — merge order is canonicalized by (start, proc, seq),
-not by trusting the clock.
+Span timestamps use ``time.time`` (not ``perf_counter``) on purpose:
+span files from different *processes* must land on one shared timeline,
+and ``perf_counter``'s epoch is per-process.  Sub-millisecond
+monotonicity is not required there — merge order is canonicalized by
+(start, proc, seq), not by trusting the clock.  Tick-phase laps are the
+opposite case: microsecond intervals inside one process, so they read
+the monotonic high-resolution :func:`lap_now`.
 """
 
 from __future__ import annotations
@@ -34,3 +38,9 @@ def since(epoch: float) -> float:
     math downstream never sees time running backwards across processes.
     """
     return max(0.0, time.time() - epoch)
+
+
+def lap_now() -> float:
+    """Monotonic high-resolution seconds, for intervals inside one
+    process (tick-phase laps); never comparable across processes."""
+    return time.perf_counter()

@@ -144,7 +144,7 @@ def ascii_timeline(trace: MergedTrace, width: int = 72) -> str:
             s
             for s in trace.spans
             if s.proc == proc
-            and (s.parent is None or s.parent not in ids or s.cat == "phase")
+            and (s.parent is None or s.parent not in ids)
         ]
         hidden = len(lane) - MAX_LANE_ROWS
         hidden_seconds = 0.0

@@ -170,20 +170,6 @@ def _merge_file(merged: MergedTrace, path: Path) -> None:
                     args=args,
                 )
             )
-        elif ph == "X":
-            start = ts
-            merged.spans.append(
-                Span(
-                    span_id=span_id,
-                    parent=record.get("parent"),
-                    name=str(record.get("name", "")),
-                    cat=str(record.get("cat", "run")),
-                    proc=str(record.get("proc", proc)),
-                    start=start,
-                    end=start + float(record.get("dur", 0.0)),
-                    args=dict(record.get("args") or {}),
-                )
-            )
         elif ph == "i":
             merged.events.append(
                 TraceEventRecord(

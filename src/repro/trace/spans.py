@@ -24,6 +24,11 @@ flocheck (FLC001/FLC011/FLC012):
   quantity.  A pickled :class:`Tracer` round-trips *disabled and empty*
   (like ``TickProfiler.__getstate__``), so objects that accidentally hold
   one cannot smuggle timings into persisted state.
+* **One owner for tick-phase time.**  :meth:`Tracer.phases` installs the
+  only :class:`~repro.trace.profiler.TickProfiler` the tick loops lap
+  into, scoped to one real span, and writes its totals as that span's
+  ``phases`` event — so phase time is measured where it ran, never laid
+  out on the timeline after the fact.
 * **Clock containment.**  All clock reads live in
   :mod:`repro.trace.clock`; this module only ever handles the floats it
   returns.
@@ -35,14 +40,15 @@ from __future__ import annotations
 
 import json
 import threading
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 from types import TracebackType
-from typing import Any, Dict, Iterator, Optional, Type
+from typing import Any, ContextManager, Dict, Iterator, Optional, Type
 
 from ..errors import ConfigError
 from .clock import since, wall_now
+from .profiler import TickProfiler
 
 __all__ = [
     "NULL_TRACER",
@@ -51,28 +57,8 @@ __all__ = [
     "TraceContext",
     "Tracer",
     "current_tracer",
-    "phase_delta",
     "use_tracer",
 ]
-
-
-def phase_delta(
-    before: Dict[str, float], after: Dict[str, float]
-) -> Dict[str, float]:
-    """Positive per-subsystem deltas between two profiler snapshots.
-
-    Instrumentation sites snapshot ``TickProfiler.totals_seconds`` before
-    and after a unit of work and hand the delta to
-    :meth:`Tracer.emit_phases`, which renders it as synthetic per-phase
-    child spans — that is how the per-tick engine/fluid phases join the
-    cross-process timeline without per-tick span records.
-    """
-    out: Dict[str, float] = {}
-    for name, total in after.items():
-        delta = total - before.get(name, 0.0)
-        if delta > 0.0:
-            out[name] = delta
-    return out
 
 
 @dataclass(frozen=True)
@@ -173,6 +159,10 @@ class NullTracer:
     def __init__(self) -> None:
         self.enabled: bool = False
         self.proc: str = "off"
+        #: the open :meth:`phases` scope's profiler and span id (None
+        #: outside a scope); tick loops lap into ``profiler``
+        self.profiler: Optional[TickProfiler] = None
+        self.scope: Optional[str] = None
 
     # -- span entry points (no-ops when disabled) -----------------------
     def span(
@@ -186,21 +176,17 @@ class NullTracer:
     ) -> None:
         """Emit an instant (zero-duration) event."""
 
-    def emit_complete(
-        self,
-        name: str,
-        start_ts: float,
-        duration: float,
-        cat: str = "run",
-        parent: Optional[str] = None,
-        **args: Any,
-    ) -> None:
-        """Emit a pre-measured complete span (begin and end in one record)."""
+    def phases(
+        self, span: SpanHandle
+    ) -> ContextManager[Optional[TickProfiler]]:
+        """Time the tick phases of one block under ``span``."""
+        return nullcontext()
 
-    def emit_phases(
-        self, parent: Any, phases: Dict[str, float], cat: str = "phase"
-    ) -> None:
-        """Synthesize per-phase child spans from profiler totals."""
+    def scope_span(
+        self, name: str, cat: str = "run", **args: Any
+    ) -> ContextManager[SpanHandle]:
+        """Open a span under the open :meth:`phases` scope."""
+        return _NULL_SPAN
 
     # -- propagation / lifecycle ----------------------------------------
     def context(self, parent: Any = None) -> Optional[TraceContext]:
@@ -315,60 +301,49 @@ class Tracer(NullTracer):
             }
         )
 
-    def emit_complete(
-        self,
-        name: str,
-        start_ts: float,
-        duration: float,
-        cat: str = "run",
-        parent: Optional[str] = None,
-        **args: Any,
-    ) -> None:
-        self._emit(
-            {
-                "ph": "X",
-                "ts": round(start_ts, 6),
-                "dur": round(max(0.0, duration), 6),
-                "span": self._next_id(),
-                "parent": parent,
-                "name": name,
-                "cat": cat,
-                "proc": self.proc,
-                "args": args,
-            }
-        )
+    @contextmanager
+    def phases(self, span: SpanHandle) -> Iterator[Optional[TickProfiler]]:
+        """Time the tick phases of one block under ``span``.
 
-    def emit_phases(
-        self, parent: Any, phases: Dict[str, float], cat: str = "phase"
-    ) -> None:
-        """Lay profiler phase totals out as child spans of ``parent``.
-
-        The profiler only knows *totals* per subsystem, not when each
-        tick phase ran, so the synthesized spans are placed back to back
-        from the parent's start, shortest first.  Ascending order makes
-        the largest phase the last finisher, which is exactly what the
-        critical-path walk should pick when the parent's own wall time is
-        dominated by that phase.
+        Installs a fresh profiler (restoring the outer scope's on exit,
+        so a nested scope's ticks are charged once, to the inner span)
+        and writes its totals as one ``phases`` instant event parented
+        under ``span``.  ``repro trace report`` charges that event
+        against the span's self time.
         """
-        if not phases:
-            return
-        if not isinstance(parent, SpanHandle):
-            return
-        cursor = parent.start_ts
-        for name, seconds in sorted(
-            phases.items(), key=lambda kv: (kv[1], kv[0])
-        ):
-            if seconds <= 0.0:
-                continue
-            self.emit_complete(
-                name,
-                cursor,
-                seconds,
-                cat=cat,
-                parent=parent.span_id,
-                synthetic=True,
-            )
-            cursor += seconds
+        outer = (self.profiler, self.scope)
+        profiler = self.profiler = TickProfiler()
+        self.scope = span.span_id
+        try:
+            yield profiler
+        finally:
+            self.profiler, self.scope = outer
+            if profiler.totals_seconds:
+                self.event(
+                    "phases", cat="phase", parent=span.span_id,
+                    ticks=profiler.ticks_profiled,
+                    seconds={
+                        name: round(seconds, 6)
+                        for name, seconds in sorted(
+                            profiler.totals_seconds.items()
+                        )
+                    },
+                )
+
+    @contextmanager
+    def scope_span(
+        self, name: str, cat: str = "run", **args: Any
+    ) -> Iterator[SpanHandle]:
+        """Open a span under the open :meth:`phases` scope and keep its
+        time out of that scope's laps (the shard barrier: its own span
+        already accounts for the wait)."""
+        profiler = self.profiler
+        with self.span(name, cat=cat, parent=self.scope, **args) as span:
+            if profiler is None:
+                yield span
+            else:
+                with profiler.exclude():
+                    yield span
 
     # -- propagation / lifecycle ----------------------------------------
     def context(self, parent: Any = None) -> TraceContext:

@@ -461,6 +461,27 @@ class TestFLC001TraceScope:
         )
         assert found == []
 
+    def test_telemetry_profiler_is_no_longer_exempt(self):
+        # the tick profiler reads repro.trace.clock; a perf_counter read
+        # in its old module is an ordinary finding
+        found = findings(
+            "FLC001",
+            """
+            import time
+
+            def start():
+                return time.perf_counter()
+            """,
+            module="repro.telemetry.profiler",
+        )
+        assert len(found) == 1
+        assert "time.perf_counter" in found[0].message
+
+    def test_allowlist_is_the_trace_clock_only(self):
+        from repro.check.rules.determinism import WALL_CLOCK_ALLOWED_MODULES
+
+        assert WALL_CLOCK_ALLOWED_MODULES == {"repro.trace.clock"}
+
 
 class TestFLC012SpanHygiene:
     def test_bare_span_expression_flagged(self):

@@ -1,4 +1,7 @@
-"""Telemetry is observation-only: results are byte-identical on or off."""
+"""Telemetry and tick-phase timing are observation-only: results are
+byte-identical on or off."""
+
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -10,7 +13,19 @@ from repro.core.router import FLocPolicy
 from repro.inet.scenarios import build_internet_scenario
 from repro.inet.simulator import FluidSimulator
 from repro.telemetry import NULL_TELEMETRY, Telemetry, use
+from repro.trace import Tracer, use_tracer
 from repro.traffic.scenarios import build_tree_scenario
+
+
+@contextmanager
+def _phase_scope(trace_dir):
+    """Time every tick of the block, as a traced run's phases scope does."""
+    tracer = Tracer(str(trace_dir), proc="main")
+    with use_tracer(tracer), tracer.span("run") as span:
+        with tracer.phases(span) as profiler:
+            yield profiler
+    tracer.close()
+    assert profiler.ticks_profiled > 0
 
 
 def _run_packet(tel):
@@ -40,11 +55,10 @@ def _run_fluid(tel):
 
 
 class TestPacketEngine:
-    def test_monitor_output_bit_identical(self):
+    def test_monitor_output_bit_identical(self, tmp_path):
         base_mon, base_pol = _run_packet(NULL_TELEMETRY)
-        traced_mon, traced_pol = _run_packet(
-            Telemetry(mode="trace", profile=True)
-        )
+        with _phase_scope(tmp_path):
+            traced_mon, traced_pol = _run_packet(Telemetry(mode="trace"))
         assert traced_mon.service_counts == base_mon.service_counts
         assert traced_mon.drop_counts == base_mon.drop_counts
         assert list(traced_mon.series) == list(base_mon.series)
@@ -52,9 +66,10 @@ class TestPacketEngine:
 
 
 class TestFluidSimulator:
-    def test_shares_bit_identical(self):
+    def test_shares_bit_identical(self, tmp_path):
         base = _run_fluid(NULL_TELEMETRY)
-        traced = _run_fluid(Telemetry(mode="trace", profile=True))
+        with _phase_scope(tmp_path):
+            traced = _run_fluid(Telemetry(mode="trace"))
         assert np.array_equal(
             np.asarray(base.shares), np.asarray(traced.shares)
         )
@@ -80,9 +95,9 @@ class TestChaosDigest:
             slo=SloSpec(),
         )
 
-    def test_digest_identical_with_full_tracing(self, spec):
+    def test_digest_identical_with_full_tracing(self, spec, tmp_path):
         base = execute_campaign(spec)
-        with use(Telemetry(mode="trace", profile=True)):
+        with _phase_scope(tmp_path), use(Telemetry(mode="trace")):
             traced = execute_campaign(spec)
         assert traced.digest == base.digest
         assert traced.windows == base.windows

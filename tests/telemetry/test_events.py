@@ -5,7 +5,8 @@ import pickle
 import pytest
 
 from repro.errors import ConfigError
-from repro.telemetry import DROP_CAUSES, TickProfiler, TraceLog, precedence
+from repro.telemetry import DROP_CAUSES, TraceLog, precedence
+from repro.trace import TickProfiler
 
 
 class TestDropCauses:

@@ -17,7 +17,7 @@ from repro.traffic.scenarios import build_tree_scenario
 
 @pytest.fixture(scope="module")
 def traced_run():
-    tel = Telemetry(mode="trace", profile=False)
+    tel = Telemetry(mode="trace")
     with use(tel):
         scenario = build_tree_scenario(
             scale_factor=0.05,

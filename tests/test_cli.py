@@ -1,5 +1,7 @@
 """Command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import EXIT_CODES, FIGURES, build_parser, main
@@ -86,10 +88,12 @@ class TestTelemetryFlags:
         assert args.telemetry_dir == "telemetry"
 
     def test_metrics_subcommand_parsed(self):
-        args = build_parser().parse_args(["metrics", "tel", "--profile"])
+        args = build_parser().parse_args(["metrics", "tel"])
         assert args.command == "metrics"
         assert args.path == "tel"
-        assert args.profile
+        # tick-phase wall time lives in --trace, not in telemetry exports
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["metrics", "tel", "--profile"])
 
     def test_chaos_exports_and_metrics_renders(self, tmp_path, capsys):
         tel_dir = tmp_path / "tel"
@@ -104,7 +108,10 @@ class TestTelemetryFlags:
         assert (tel_dir / "metrics.json").exists()
         assert (tel_dir / "events.jsonl").exists()
 
-        assert main(["metrics", str(tel_dir), "--profile"]) == 0
+        # wall-clock phase timing is the tracer's; the export holds none
+        metrics = json.loads((tel_dir / "metrics.json").read_text())
+        assert "profile" not in metrics
+        assert main(["metrics", str(tel_dir)]) == 0
         out = capsys.readouterr().out
         assert "telemetry export" in out
         assert "drops_by_cause_packets" in out

@@ -4,7 +4,7 @@ from repro.trace import analyze, critical_path, merge_trace
 from repro.trace.analysis import attribute_phase, self_times
 from repro.trace.merge import Span
 
-from .helpers import begin, end, write_spans
+from .helpers import begin, end, instant, write_spans
 
 
 def _gang_trace(tmp_path):
@@ -118,8 +118,6 @@ class TestPhaseAttribution:
         )
         assert attribute_phase(span("salvage", "salvage.load")) == "salvage"
         assert attribute_phase(span("retry", "retry.wait")) == "retry-wait"
-        # synthetic profiler phases attribute under their subsystem name
-        assert attribute_phase(span("phase", "queueing")) == "queueing"
         # everything else buckets under its category
         assert attribute_phase(span("task", "task:u")) == "task"
 
@@ -129,6 +127,49 @@ class TestPhaseAttribution:
         assert abs(analysis.phases["checkpoint"] - 0.5) < 1e-9
         assert abs(analysis.phases["salvage"] - 0.5) < 1e-9
         assert analysis.wall_seconds == 10.0
+
+    def test_phases_event_is_charged_against_its_span_self_time(
+        self, tmp_path
+    ):
+        write_spans(
+            tmp_path,
+            "w0",
+            [
+                begin("w0", 1, 0.0, "task:u", cat="task"),
+                begin("w0", 2, 1.0, "ticks", parent="w0:1"),
+                begin("w0", 3, 2.0, "barrier.collect", parent="w0:2",
+                      cat="barrier"),
+                end("w0", 3, 3.0),
+                end("w0", 2, 6.0),
+                instant("w0", 4, 6.0, "phases", parent="w0:2", cat="phase",
+                        ticks=50, seconds={"queueing": 3.0, "policy": 1.5}),
+                end("w0", 1, 8.0),
+            ],
+        )
+        analysis = analyze(merge_trace(str(tmp_path)))
+        # ticks self time is 5 - 1 (barrier) = 4: 3.0 + 0.5 of the
+        # measured 4.5 would exceed it, so the laps are scaled to fit
+        assert abs(analysis.phases["queueing"] - 4.0 * 3.0 / 4.5) < 1e-9
+        assert abs(analysis.phases["policy"] - 4.0 * 1.5 / 4.5) < 1e-9
+        assert analysis.phases.get("run", 0.0) < 1e-9
+        assert abs(analysis.phases["barrier-wait"] - 1.0) < 1e-9
+        assert abs(analysis.phases["task"] - 3.0) < 1e-9
+        # every second of the lane is attributed exactly once
+        assert abs(sum(analysis.phases.values()) - 8.0) < 1e-9
+
+    def test_unmeasured_remainder_goes_to_the_span_category(self, tmp_path):
+        write_spans(
+            tmp_path,
+            "main",
+            [
+                begin("main", 1, 0.0, "campaign.run", cat="campaign"),
+                end("main", 1, 2.0),
+                instant("main", 2, 2.0, "phases", parent="main:1",
+                        cat="phase", ticks=9, seconds={"queueing": 1.5}),
+            ],
+        )
+        analysis = analyze(merge_trace(str(tmp_path)))
+        assert analysis.phases == {"queueing": 1.5, "campaign": 0.5}
 
     def test_rollups_sorted_by_total_with_counts(self, tmp_path):
         analysis = analyze(_gang_trace(tmp_path))

@@ -2,17 +2,21 @@
 
 These tests run the real supervisor / fleet / chaos layers with a real
 tracer attached and assert (a) the span DAG they emit is the documented
-taxonomy and joins across processes, and (b) results and digests are
-byte-identical with tracing on or off — the regression lock for the
-observation-only contract.
+taxonomy and joins across processes, (b) tick-phase time is attributed
+once — the phases measured inside a span never push the report past
+the wall clock — and (c) results and digests are byte-identical with
+tracing on or off — the regression lock for the observation-only
+contract.
 """
 
 import pickle
+from dataclasses import dataclass
 
 from repro.chaos import ChaosOptions, ChaosReport
 from repro.experiments.common import FunctionalSettings
 from repro.fleet import (
     FleetOptions,
+    ShardUnitTask,
     chaos_tasks,
     figure_tasks,
     run_fleet,
@@ -20,9 +24,13 @@ from repro.fleet import (
 )
 import numpy as np
 
+from repro.inet.scenarios import build_internet_scenario
 from repro.inet.shard import BarrierExchange, ShardSpec
-from repro.runner import CheckpointStore, SupervisedRunner
-from repro.trace import NullTracer, Tracer, merge_trace, use_tracer
+from repro.inet.simulator import FluidSimulator
+from repro.runner import CheckpointStore, FluidRun, SupervisedRunner
+from repro.telemetry import current
+from repro.trace import NullTracer, Tracer, analyze, merge_trace, use_tracer
+from repro.traffic.scenarios import build_tree_scenario
 
 
 def _settings():
@@ -33,6 +41,80 @@ def _settings():
 
 def _quick_unit(ctx):
     return {"name": ctx.name}
+
+
+def _lane_wall_seconds(trace):
+    """Sum over process lanes of each lane's wall extent."""
+    lanes = {}
+    for span in trace.spans:
+        lo, hi = lanes.get(span.proc, (span.start, span.end))
+        lanes[span.proc] = (min(lo, span.start), max(hi, span.end))
+    return sum(hi - lo for lo, hi in lanes.values())
+
+
+def _assert_attributed_once(trace, *phases):
+    analysis = analyze(trace)
+    ratio = sum(analysis.phases.values()) / _lane_wall_seconds(trace)
+    assert ratio <= 1.01, (ratio, analysis.phases)
+    for phase in phases:
+        assert analysis.phases.get(phase, 0.0) > 0.0, (phase, analysis.phases)
+    return analysis
+
+
+def _traced(trace_dir, body):
+    tracer = Tracer(str(trace_dir), proc="main")
+    with use_tracer(tracer):
+        result = body()
+    tracer.close()
+    return result, merge_trace(str(trace_dir))
+
+
+@dataclass(frozen=True)
+class FluidUnitTask:
+    """A small fluid run through ``ctx.checkpointed`` (tick segments)."""
+
+    name: str = "fluid"
+
+    def run(self, ctx):
+        def build():
+            scenario = build_internet_scenario(
+                n_as=100, n_legit_sources=250, n_legit_ases=25,
+                n_bots=1500, target_capacity=150.0, seed=13,
+            )
+            sim = FluidSimulator(scenario, strategy="floc", seed=3)
+            return FluidRun(sim, ticks=120, warmup=50)
+
+        return ctx.checkpointed(build, lambda run: run.sim.finish_run())
+
+
+@dataclass(frozen=True)
+class TelemetryProbeTask:
+    """Runs a few packet ticks and reports the telemetry it ran under."""
+
+    name: str = "probe"
+
+    def run(self, ctx):
+        scenario = build_tree_scenario(scale_factor=0.05, seed=2)
+        scenario.run_seconds(0.3)
+        return current().enabled
+
+
+def _gang_tasks():
+    """One 2-shard fig13 gang, small enough for a 2-worker pool."""
+    settings = {
+        "n_as": 120, "n_legit_sources": 240, "n_legit_ases": 30,
+        "n_bots": 2_000, "target_capacity": 150.0, "ticks": 60,
+        "warmup": 30, "seed": 7,
+    }
+    return [
+        ShardUnitTask(
+            figure="fig13", unit="fig13:f-root:NA", variant="f-root",
+            placement="localized", label="NA", strategy="floc", s_max=None,
+            shard=shard, n_shards=2, epoch_ticks=20,
+            barrier_timeout_seconds=90.0, settings=dict(settings),
+        )
+        for shard in range(2)
+    ]
 
 
 class TestRunnerSpans:
@@ -93,8 +175,46 @@ class TestFleetSpans:
             assert parent.proc == "main"
             assert parent.name == span.name
             assert parent.parent == fleet.span_id
-        # per-tick engine phases were synthesized inside the worker spans
-        assert any(s.cat == "phase" for s in merged.spans)
+        # per-tick engine phases were measured inside the worker spans
+        worker_task_ids = {s.span_id for s in worker_tasks}
+        phases = [e for e in merged.events if e.name == "phases"]
+        assert phases
+        assert {e.parent for e in phases} <= worker_task_ids
+        assert not any(s.cat == "phase" for s in merged.spans)
+
+    def test_shard_spans_parent_under_their_task(self, tmp_path):
+        tasks = _gang_tasks()
+        report, merged = _traced(
+            tmp_path / "trace",
+            lambda: run_fleet(
+                tasks, CheckpointStore(str(tmp_path / "store")),
+                FleetOptions(workers=2),
+            ),
+        )
+        assert report.status == "ok"
+        _assert_attributed_once(
+            merged, "barrier-wait", "queueing", "policy", "sources",
+        )
+        by_id = merged.by_id()
+        worker_spans = [s for s in merged.spans if s.proc != "main"]
+        for span in worker_spans:
+            if span.cat == "task":
+                continue
+            # every span in a shard worker lane has a parent in its lane
+            parent = by_id[span.parent]
+            assert parent.proc == span.proc
+            if span.cat == "barrier":
+                assert parent.name == "ticks"
+            else:
+                assert parent.cat == "task", span.name
+        assert {s.name for s in worker_spans} >= {
+            "build", "ticks", "checkpoint.save", "finalize",
+            "barrier.publish", "barrier.collect",
+        }
+        # the ticks spans carry the measured phases, barrier time excluded
+        ticks_ids = {s.span_id for s in worker_spans if s.name == "ticks"}
+        phases = [e for e in merged.events if e.name == "phases"]
+        assert {e.parent for e in phases} == ticks_ids
 
     def test_fleet_results_identical_with_tracing(self, tmp_path):
         tasks = figure_tasks("fig03", _settings())
@@ -112,6 +232,69 @@ class TestFleetSpans:
             )
         tracer.close()
         assert base.results == traced.results
+
+
+class TestPhaseAttribution:
+    def test_serial_checkpointed_fluid_unit(self, tmp_path):
+        report, merged = _traced(
+            tmp_path / "trace",
+            lambda: run_tasks(
+                [FluidUnitTask()],
+                CheckpointStore(str(tmp_path / "store")),
+                FleetOptions(workers=None, checkpoint_interval=30),
+            ),
+        )
+        assert report.status == "ok"
+        _assert_attributed_once(
+            merged, "queueing", "policy", "sources", "tcp", "checkpoint",
+        )
+        ticks_ids = {s.span_id for s in merged.spans if s.name == "ticks"}
+        assert len(ticks_ids) == 4
+        assert {
+            e.parent for e in merged.events if e.name == "phases"
+        } == ticks_ids
+
+    def test_packet_chaos_campaign(self, tmp_path):
+        options = ChaosOptions(
+            seed=4, campaigns=1, simulator="packet", shrink=False,
+            artifact_dir=None,
+        )
+        report, merged = _traced(
+            tmp_path / "trace", lambda: run_tasks(chaos_tasks(options))
+        )
+        assert report.status == "ok"
+        analysis = _assert_attributed_once(
+            merged, "queueing", "policy", "sources", "delivery", "arrivals",
+        )
+        (campaign,) = [s for s in merged.spans if s.name == "campaign.run"]
+        assert [
+            e.parent for e in merged.events if e.name == "phases"
+        ] == [campaign.span_id]
+        assert "phase" not in analysis.phases
+
+
+class TestTelemetryOffStaysOff:
+    """With tracing on and telemetry off, units run under no recorder."""
+
+    def test_in_process(self, tmp_path):
+        report, merged = _traced(
+            tmp_path / "trace", lambda: run_tasks([TelemetryProbeTask()])
+        )
+        assert report.results == {"probe": False}
+        assert report.telemetry is None or not report.telemetry.enabled
+        assert any(e.name == "phases" for e in merged.events)
+
+    def test_on_one_worker(self, tmp_path):
+        report, merged = _traced(
+            tmp_path / "trace",
+            lambda: run_tasks(
+                [TelemetryProbeTask()], options=FleetOptions(workers=1)
+            ),
+        )
+        assert report.results == {"probe": False}
+        assert any(
+            e.name == "phases" and e.proc == "w0" for e in merged.events
+        )
 
 
 class TestChaosDigestIdentity:

@@ -2,6 +2,7 @@
 
 import json
 import pickle
+import time
 
 import pytest
 
@@ -12,7 +13,6 @@ from repro.trace import (
     TraceContext,
     Tracer,
     current_tracer,
-    phase_delta,
     use_tracer,
 )
 
@@ -109,8 +109,11 @@ class TestNullTracer:
             span.event("x")
         span.end()
         null.event("y")
-        null.emit_complete("z", 0.0, 1.0)
-        null.emit_phases(span, {"queueing": 1.0})
+        with null.phases(span) as profiler:
+            assert profiler is None
+            assert null.profiler is None
+            with null.scope_span("barrier.collect", cat="barrier"):
+                pass
         assert null.context() is None
         null.close()
         assert list(tmp_path.iterdir()) == []
@@ -181,31 +184,52 @@ class TestPicklePurity:
 
 
 class TestPhases:
-    def test_phase_delta_keeps_positive_deltas_only(self):
-        before = {"queueing": 1.0, "policy": 2.0, "gone": 5.0}
-        after = {"queueing": 1.5, "policy": 2.0, "tcp": 0.25, "gone": 4.0}
-        assert phase_delta(before, after) == {
-            "queueing": 0.5, "tcp": 0.25,
-        }
-
-    def test_emit_phases_lays_spans_back_to_back_ascending(self, tmp_path):
-        tracer = Tracer(str(tmp_path), proc="main", epoch=100.0)
-        parent = tracer.span("unit")
-        tracer.emit_phases(
-            parent, {"queueing": 0.4, "tcp": 0.1, "idle": 0.0}
-        )
-        parent.end()
+    def test_phases_scope_nests_and_restores_outer_profiler(self, tmp_path):
+        tracer = Tracer(str(tmp_path), proc="main")
+        assert tracer.profiler is None and tracer.scope is None
+        unit = tracer.span("unit")
+        with tracer.phases(unit) as outer:
+            assert tracer.profiler is outer
+            assert tracer.scope == unit.span_id
+            with tracer.span("ticks", parent=unit.span_id) as ticks:
+                with tracer.phases(ticks) as inner:
+                    assert inner is not outer
+                    assert tracer.profiler is inner
+                    assert tracer.scope == ticks.span_id
+                    inner.lap("queueing", inner.start())
+            assert tracer.profiler is outer
+            assert tracer.scope == unit.span_id
+        unit.end()
+        assert tracer.profiler is None and tracer.scope is None
         tracer.close()
-        xs = [
+        events = [
             r for r in read_records(tmp_path / "spans-main.jsonl")
-            if r["ph"] == "X"
+            if r["ph"] == "i"
         ]
-        # idle (zero) skipped; shortest first so the largest phase is the
-        # last finisher the critical-path walk descends into
-        assert [r["name"] for r in xs] == ["tcp", "queueing"]
-        assert xs[0]["ts"] == parent.start_ts
-        assert xs[0]["dur"] == 0.1
-        assert xs[1]["ts"] == round(parent.start_ts + 0.1, 6)
-        assert xs[1]["dur"] == 0.4
-        assert all(r["parent"] == parent.span_id for r in xs)
-        assert all(r["args"]["synthetic"] for r in xs)
+        # the inner scope's laps land under the inner span only; the
+        # outer scope lapped nothing, so it writes no event
+        assert [(e["name"], e["parent"]) for e in events] == [
+            ("phases", ticks.span_id)
+        ]
+        assert events[0]["cat"] == "phase"
+        assert set(events[0]["args"]["seconds"]) == {"queueing"}
+
+    def test_scope_span_parents_under_scope_and_is_excluded(self, tmp_path):
+        tracer = Tracer(str(tmp_path), proc="main", epoch=100.0)
+        with tracer.span("ticks") as span, tracer.phases(span) as prof:
+            t0 = prof.start()
+            with tracer.scope_span("barrier.collect", cat="barrier", tick=3):
+                time.sleep(0.05)
+            prof.lap("queueing", t0)
+            prof.tick_done()
+        tracer.close()
+        records = read_records(tmp_path / "spans-main.jsonl")
+        barrier = next(
+            r for r in records
+            if r["ph"] == "B" and r["name"] == "barrier.collect"
+        )
+        assert barrier["parent"] == span.span_id
+        (event,) = [r for r in records if r["ph"] == "i"]
+        assert event["args"]["ticks"] == 1
+        # the barrier's own span accounts for its sleep; the lap does not
+        assert event["args"]["seconds"]["queueing"] < 0.04
